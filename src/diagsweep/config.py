@@ -175,7 +175,13 @@ class RunConfig:
 
     @property
     def omega(self) -> float:
-        return 2.0 * np.pi * self.getfloat("problem", "frequency")
+        frequency = self.getfloat("problem", "frequency")
+        if not (np.isfinite(frequency) and frequency > 0):
+            raise ConfigurationError(
+                f"{self._where('problem', 'frequency')}: frequency must be finite "
+                f"and > 0, got {frequency}"
+            )
+        return 2.0 * np.pi * frequency
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
         pairs = self.getpairs("problem", "interior")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 from .grid import ComplexField, Window
 from .partition import Partition, octant_region, steps_per_sweep, sweep_step_of
 from .pml import PmlProfile, assemble_operator
@@ -286,7 +286,8 @@ def diagonal_sweep_solve(
                     )
         if report.partials is not None:
             report.partials.append(combined.copy())
-    assert not queues, "pending transferred sources left after the last sweep"
+    if queues:
+        raise SolverError("pending transferred sources left after the last sweep")
     report.wall_time = time.perf_counter() - t0
     return ComplexField(partition.grid, combined), report
 

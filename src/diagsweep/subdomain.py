@@ -6,9 +6,11 @@ Two backends are provided behind one interface:
   exact Kronecker sum of per-axis tridiagonals, so a Schur (unitary
   triangularization) factorization of the small 1D matrices gives a fast
   direct solver.  2D solves reduce to one triangular Sylvester equation
-  (LAPACK ztrsyl); 3D solves triangularize all three axes and peel the last
-  one slab by slab, each slab again a ztrsyl solve.  All transforms are
-  unitary and all solves triangular, so the method is backward stable.
+  (LAPACK ztrsyl).  3D solves triangularize all three axes and peel the
+  middle one slab by slab, each slab again a ztrsyl solve in the first and
+  last axes; as in 2D, kappa^2 folds into the transposed last-axis factor.
+  Every axis transform is a GEMM.  All transforms are unitary and all
+  solves triangular, so the method is backward stable.
 
 * splu: general sparse LU (SuperLU) on the full window matrix, used whenever
   kappa^2 is not tensor-structured (raster media).
@@ -89,21 +91,21 @@ class SeparableFactorization:
         Q1, R1 = self._Q1, self._R1
         Q2, R2 = self._Q2, self._R2  # transposed last-axis factor
         Q3, R3 = self._Q3, self._R3  # middle axis, peeled slab by slab
-        C = np.einsum("ai,ijk->ajk", Q1.conj().T, rhs)
-        C = np.einsum("kb,ajk->ajb", Q2, C)
-        C = np.einsum("jc,ajb->acb", Q3.conj(), C)
-        m = self.shape[1]
+        n1, m, n3 = self.shape
+        C = (Q1.conj().T @ rhs.reshape(n1, m * n3)).reshape(n1 * m, n3)
+        C = (C @ Q2).reshape(n1, m, n3)
+        C = np.matmul(Q3.conj().T, C)
         Y = np.empty_like(C)
-        eye = np.eye(R1.shape[0], dtype=np.complex128)
+        eye = np.eye(n1, dtype=np.complex128)
         for s in range(m - 1, -1, -1):
             rhs_s = C[:, s, :]
             if s < m - 1:
-                rhs_s = rhs_s - np.einsum("c,acb->ab", R3[s, s + 1 :], Y[:, s + 1 :, :])
+                rhs_s = rhs_s - np.tensordot(
+                    Y[:, s + 1 :, :], R3[s, s + 1 :], axes=([1], [0])
+                )
             Y[:, s, :] = _sylvester(R1 + R3[s, s] * eye, R2, rhs_s)
-        out = np.einsum("jc,acb->ajb", Q3, Y)
-        out = np.einsum("kb,ajb->ajk", Q2.conj(), out)
-        out = np.einsum("ia,ajk->ijk", Q1, out)
-        return np.ascontiguousarray(out)
+        out = np.matmul(Q3, Y).reshape(n1 * m, n3) @ Q2.conj().T
+        return (Q1 @ out.reshape(n1, m * n3)).reshape(self.shape)
 
 
 class SparseLuFactorization:
@@ -144,10 +146,6 @@ def factorize(op: DiscreteOperator, method: str = "auto") -> Factorization:
     if method == "splu":
         return SparseLuFactorization(op)
     raise ConfigurationError(f"unknown factorization method {method!r}")
-
-
-def solve(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
-    return fact.solve(rhs)
 
 
 @dataclass

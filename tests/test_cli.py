@@ -112,6 +112,20 @@ def test_exit_codes(small_ini, tmp_path):
                  "--set", "solver.tol=1e-14"]) == EXIT_NOCONV
 
 
+@pytest.mark.parametrize("frequency", ("0", "nan"))
+def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, frequency):
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_ini, "--out", out,
+                 "--set", "solver.mode=direct-ddm",
+                 "--set", f"problem.frequency={frequency}"]) == EXIT_CONFIG
+    assert "frequency must be finite and > 0" in capsys.readouterr().err
+    # from the file, the message points at the offending line
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL.replace("frequency = 4", f"frequency = {frequency}"))
+    assert _run(["solve", "--config", bad, "--out", out]) == EXIT_CONFIG
+    assert f"{bad}:4: frequency" in capsys.readouterr().err
+
+
 def test_convergence_study(small_ini, tmp_path):
     out = tmp_path / "out"
     assert _run(["convergence", "--config", small_ini, "--out", out,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diagsweep.ddm
 from diagsweep.ddm import (
     SweepPlan,
     additive_ddm_solve,
@@ -16,7 +17,7 @@ from diagsweep.ddm import (
     solve_cuts,
     source_directions,
 )
-from diagsweep.errors import ConfigurationError
+from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import make_grid
 from diagsweep.media import constant_model, gaussian_source
 from diagsweep.partition import make_partition
@@ -177,6 +178,23 @@ def test_bitwise_determinism(prob2d):
     u1, _ = diagonal_sweep_solve(f, part, ops, cache, warn_collar=False)
     u2, _ = diagonal_sweep_solve(f, part, ops, cache, warn_collar=False)
     assert np.array_equal(u1.values, u2.values)
+
+
+def test_source_left_unconsumed_raises(prob2d, monkeypatch):
+    grid, part, ops, _, kappa = prob2d
+    real = diagsweep.ddm.next_usable_sweep
+    calls = []
+
+    def misroute(direction, sweep, directions):
+        calls.append(direction)
+        if len(calls) == 1:
+            return len(directions) + 1  # a sweep past the last, which never runs
+        return real(direction, sweep, directions)
+
+    monkeypatch.setattr(diagsweep.ddm, "next_usable_sweep", misroute)
+    f = _compact_source(grid, part, (1, 1), kappa)
+    with pytest.raises(SolverError, match="pending transferred sources"):
+        diagonal_sweep_solve(f, part, ops, FactorizationCache())
 
 
 def test_3d_plans_agree():

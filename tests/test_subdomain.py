@@ -11,9 +11,10 @@ from diagsweep.subdomain import FactorizationCache, factorize
 
 
 def _op(dim=2, n=25, model=None, kappa=9.0):
-    grid = make_grid(((0, 1),) * dim, (n,) * dim)
+    counts = (n,) * dim if np.isscalar(n) else n
+    grid = make_grid(((0, 1),) * dim, counts)
     win = grid.full_window()
-    box = Window((6,) * dim, (n - 7,) * dim)
+    box = Window((6,) * dim, tuple(c - 7 for c in counts))
     profile = PmlProfile(5, 1, sigma_max=2.0)
     return assemble_operator(grid, win, box, profile,
                              model or constant_model(1.0), kappa)
@@ -38,6 +39,38 @@ def test_backends_agree(dim):
     u_sep = factorize(op, "separable").solve(rhs)
     u_lu = factorize(op, "splu").solve(rhs)
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
+
+
+# distinct node counts and spacings per axis, so that a transform applied
+# along the wrong axis fails instead of hiding behind a cube's symmetry
+NONCUBIC = (13, 17, 19)
+NONCUBIC_MEDIA = pytest.mark.parametrize(
+    "model, kind",
+    ((None, "const"), (layered_model((0.5,), (1.0, 2.0)), "axis")),
+    ids=("const", "layered"),
+)
+
+
+@NONCUBIC_MEDIA
+def test_backends_agree_noncubic_3d(model, kind):
+    op = _op(3, NONCUBIC, model=model)
+    assert op.window.shape == NONCUBIC and op.kappa2_kind == kind
+    rng = np.random.default_rng(2)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u_sep = factorize(op, "separable").solve(rhs)
+    u_lu = factorize(op, "splu").solve(rhs)
+    assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
+
+
+@NONCUBIC_MEDIA
+def test_round_trip_residual_noncubic_3d(model, kind):
+    op = _op(3, NONCUBIC, model=model)
+    rng = np.random.default_rng(3)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u = factorize(op, "separable").solve(rhs)
+    assert u.shape == NONCUBIC
+    res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
+    assert res < 1e-10
 
 
 def test_auto_selects_backend():
