@@ -10,8 +10,11 @@ Commands:
 
 Every run reads an INI config (see `config`), applies DIAGSWEEP_* environment
 overrides and --set flags, and writes its artifacts under --out.  All tables
-carry the resolved config hash in a header comment; with --threads 1 the
-artifacts are bit-for-bit reproducible for a fixed config and seed.
+carry the resolved config hash in a header comment.  With one BLAS thread
+the artifacts are bit-for-bit reproducible for a fixed config and seed;
+--threads caps BLAS threads through threadpoolctl, and without it only sets
+the OMP_*/OPENBLAS_*/MKL_* variables after numpy has loaded BLAS, where they
+have no effect, so set them before launch.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O failure.
@@ -31,7 +34,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .ddm import build_global_operator, build_operators, diagonal_sweep_solve
 from .errors import ConfigurationError, ModelError, SolverError
-from .grid import ComplexField, Window, dump_field, write_pgm
+from .grid import ComplexField, dump_field, field_error, write_pgm
 from .krylov import gmres
 from .media import point_shots
 from .pipeline import average_time_recursive, simulate_pipeline
@@ -41,13 +44,6 @@ from .subdomain import FactorizationCache, factorize
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
-
-
-def _interior_window(cfg: RunConfig, grid) -> Window:
-    pml = cfg.getint("discretization", "pml_points")
-    return Window(
-        tuple(pml for _ in grid.counts), tuple(n - 1 - pml for n in grid.counts)
-    )
 
 
 def _build_problem(cfg: RunConfig, counts=None, partition_counts=None, source=None):
@@ -83,12 +79,7 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
             return du.values
 
         values, krylov_report = gmres(
-            lambda v: gop.apply(v, region=full),
-            apply_m,
-            f,
-            tol=cfg.getfloat("solver", "tol"),
-            restart=cfg.getint("solver", "restart"),
-            max_iter=cfg.getint("solver", "max_iter"),
+            lambda v: gop.apply(v, region=full), apply_m, f, **cfg.gmres_settings()
         )
         u = ComplexField(partition.grid, values)
         ddm_report = None
@@ -148,16 +139,10 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
         f = cfg.build_source(grid, rng)
         u, info, _, _ = _solve_once(cfg, f, partition, operators, gop)
         ref = radial_solution(grid, center, kappa)
-        box = _interior_window(cfg, grid)
-        sl = box.slices()
-        diff = u.values[sl] - ref.values[sl]
-        cell = float(np.prod(grid.spacing))
-        l2 = np.sqrt(np.sum(np.abs(diff) ** 2) * cell)
-        h1_sq = l2**2
-        for axis, h in enumerate(grid.spacing):
-            h1_sq += np.sum(np.abs(np.diff(diff, axis=axis) / h) ** 2) * cell
-        rows.append((cells, min(grid.spacing), l2, np.sqrt(h1_sq)))
-        print(f"mesh {cells}: L2 {l2:.3e} H1 {np.sqrt(h1_sq):.3e}")
+        l2 = field_error(u, ref, "L2", region=partition.interior)
+        h1 = field_error(u, ref, "H1", region=partition.interior)
+        rows.append((cells, min(grid.spacing), l2, h1))
+        print(f"mesh {cells}: L2 {l2:.3e} H1 {h1:.3e}")
     with _open_csv(out / "convergence.csv", cfg) as fh:
         writer = csv.writer(fh)
         writer.writerow(["mesh", "h", "l2_error", "l2_rate", "h1_error", "h1_rate"])
@@ -328,7 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="thread cap")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="BLAS thread cap; needs threadpoolctl, otherwise set "
+        "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS before launch",
+    )
     parser.add_argument(
         "--set",
         dest="overrides",

@@ -31,10 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ModelError
 from .grid import Grid, make_grid
 from .media import (
-    RasterModel,
     constant_model,
     gaussian_source,
     layered_model,
@@ -88,6 +87,12 @@ class RunConfig:
         if self.path is not None and lineno is not None:
             return f"{self.path}:{lineno}"
         return f"[{section}] {key}"
+
+    def _require(self, ok: bool, section: str, key: str, what: str, value) -> None:
+        if not ok:
+            raise ConfigurationError(
+                f"{self._where(section, key)}: {key} must be {what}, got {value}"
+            )
 
     def has(self, section: str, key: str) -> bool:
         return key in self.values.get(section, {})
@@ -176,11 +181,10 @@ class RunConfig:
     @property
     def omega(self) -> float:
         frequency = self.getfloat("problem", "frequency")
-        if not (np.isfinite(frequency) and frequency > 0):
-            raise ConfigurationError(
-                f"{self._where('problem', 'frequency')}: frequency must be finite "
-                f"and > 0, got {frequency}"
-            )
+        self._require(
+            np.isfinite(frequency) and frequency > 0,
+            "problem", "frequency", "finite and > 0", frequency,
+        )
         return 2.0 * np.pi * frequency
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
@@ -231,9 +235,14 @@ class RunConfig:
 
     def build_profile(self) -> PmlProfile:
         pml = self.getint("discretization", "pml_points")
+        self._require(pml >= 1, "discretization", "pml_points", ">= 1", pml)
         d = self.getint("discretization", "overlap_points")
         exponent = self.getint("discretization", "exponent")
         damping = self.getfloat("discretization", "damping")
+        self._require(
+            np.isfinite(damping) and damping > 0,
+            "discretization", "damping", "finite and > 0", damping,
+        )
         h = min(
             (b - a) / n for (a, b), n in zip(self.interior_extents(), self.interior_cells())
         )
@@ -243,7 +252,10 @@ class RunConfig:
     def build_model(self):
         kind = self.get("problem", "medium")
         if kind == "constant":
-            return constant_model(self.getfloat("problem", "speed"))
+            try:
+                return constant_model(self.getfloat("problem", "speed"))
+            except ModelError as exc:
+                raise ModelError(f"{self._where('problem', 'speed')}: {exc}") from None
         if kind == "layered":
             depths = self.getlist("problem", "depths", float)
             speeds = self.getlist("problem", "speeds", float)
@@ -253,6 +265,16 @@ class RunConfig:
         raise ConfigurationError(
             f"{self._where('problem', 'medium')}: unknown medium {kind!r}"
         )
+
+    def gmres_settings(self) -> dict:
+        """The validated tol, restart and max_iter of the GMRES solver."""
+        tol = self.getfloat("solver", "tol")
+        self._require(np.isfinite(tol) and tol > 0, "solver", "tol", "finite and > 0", tol)
+        out = {"tol": tol}
+        for key in ("restart", "max_iter"):
+            out[key] = self.getint("solver", key)
+            self._require(out[key] >= 1, "solver", key, ">= 1", out[key])
+        return out
 
     def build_source(self, grid: Grid, rng: np.random.Generator | None = None):
         kind = self.get("problem", "source")

@@ -1,16 +1,20 @@
-"""The additive and diagonal sweeping DDM engines.
+"""The additive and diagonal sweeping DDM engines: one task, two schedules.
 
-Both engines solve local PML problems on the extended subdomain windows and
-blend the local solutions with the beta_{0,0} cutoffs:
+The task (`_solve_and_emit`) is the same in both engines: sum a subdomain's
+own source piece and the transferred sources that reached it, solve the
+local PML problem on its extended window, blend the solution into the global
+field with the beta_{0,0} cutoff, and emit the transferred sources Psi
+towards its neighbors.  The engines differ only in the order of the tasks
+and in where an emitted source is delivered:
 
-* additive: every subdomain is solved at every step s = 1..sum(N)-dim+1;
-  step 1 takes the restricted source f_{i,j}, later steps take the sum of
-  transferred sources emitted at step s - |direction|_1.
+* additive: every subdomain runs at every step s = 1..sum(N)-dim+1.  Step 1
+  takes the restricted source f_{i,j}; a source emitted at step s along
+  direction d is consumed at step s + |d|_1.
 * diagonal sweeping: 2^dim sweeps over the diagonal directions; within a
-  sweep, subdomains are solved in anti-diagonal step order, and every
-  generated source is routed to the smallest admissible sweep (same sweep
-  when it points with it, a later one otherwise, or discarded when no later
-  sweep accepts it).
+  sweep, subdomains run in anti-diagonal step order, and every emitted
+  source is routed to the smallest admissible sweep (same sweep when it
+  points with it, a later one otherwise, or discarded when no later sweep
+  accepts it).
 
 For constant media the diagonal sweep reconstructs the global PML solution
 octant by octant; for variable media it serves as the preconditioner.
@@ -156,7 +160,6 @@ class DdmReport:
     wall_time: float = 0.0
     events: list | None = None
     partials: list | None = None
-    transfer_records: list | None = None
     first_nonzero_step: dict = field(default_factory=dict)
 
     def write_event_log(self, path) -> None:
@@ -209,6 +212,44 @@ def _accumulate(combined, partition, index, u_local):
     combined[support.slices()] += beta * u_local[win.local_slices(support)]
 
 
+def _solve_and_emit(
+    partition, operators, cache, index, own, arrivals, directions, combined, report
+):
+    """The subdomain task both engines schedule.
+
+    Sums the subdomain's own source piece `own` ((window, values), or None)
+    and the `arrivals`, solves the local PML problem, blends the solution
+    into `combined` with beta_{0,0}, and returns the sources it transfers
+    along `directions` (each carrying its cut set).  A zero right-hand side
+    is counted as a solve but not solved, and the task returns None.
+    """
+    win = partition.window(index)
+    rhs = np.zeros(win.shape, dtype=np.complex128)
+    has_own = False
+    if own is not None:
+        src_win, src_values = own
+        has_own = bool(np.any(src_values))
+        rhs[win.local_slices(src_win)] += src_values
+    for ts in arrivals:
+        rhs[win.local_slices(ts.window)] += ts.values
+    cuts = solve_cuts([ts.cuts for ts in arrivals], has_own)
+    report.solves += 1
+    if not np.any(rhs):
+        return None
+    u_local = cache.get(operators[index]).solve(rhs)
+    report.nonzero_solves += 1
+    _accumulate(combined, partition, index, u_local)
+    emitted = []
+    for direction in directions:
+        if not emits(direction, cuts):
+            continue
+        ts = psi(partition, operators, index, direction, u_local, rhs)
+        if ts is not None:
+            ts.cuts = content_cuts(direction, cuts)
+            emitted.append(ts)
+    return emitted
+
+
 def diagonal_sweep_solve(
     f: np.ndarray,
     partition: Partition,
@@ -218,19 +259,16 @@ def diagonal_sweep_solve(
     *,
     collect_partials: bool = False,
     record_events: bool = False,
-    record_transfers: bool = False,
     warn_collar: bool = True,
 ) -> tuple[ComplexField, DdmReport]:
     """One application of the diagonal sweeping DDM to the source `f`."""
     t0 = time.perf_counter()
-    dim = partition.dim
-    plan = plan or SweepPlan.default(dim)
+    plan = plan or SweepPlan.default(partition.dim)
     report = DdmReport(
         events=[] if record_events else None,
         partials=[] if collect_partials else None,
-        transfer_records=[] if record_transfers else None,
     )
-    directions = source_directions(dim)
+    directions = source_directions(partition.dim)
     sources = restrict_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
@@ -239,50 +277,25 @@ def diagonal_sweep_solve(
         groups = _step_groups(partition, sweep_dir)
         for step in range(1, n_steps + 1):
             for index in groups.get(step, []):
-                win = partition.window(index)
-                rhs = np.zeros(win.shape, dtype=np.complex128)
-                arrival_cuts = []
-                has_own = False
-                if sweep == 1:
-                    src_win, src_values = sources[index]
-                    has_own = bool(np.any(src_values))
-                    rhs[win.local_slices(src_win)] += src_values
-                consumed = 0
-                for ts in queues.pop((sweep, index), []):
-                    rhs[win.local_slices(ts.window)] += ts.values
-                    arrival_cuts.append(ts.cuts)
-                    consumed += 1
-                cuts = solve_cuts(arrival_cuts, has_own)
-                nonzero = bool(np.any(rhs))
-                emitted = 0
-                if nonzero:
-                    u_local = cache.get(operators[index]).solve(rhs)
-                    report.nonzero_solves += 1
-                    _accumulate(combined, partition, index, u_local)
-                    for direction in directions:
-                        if not emits(direction, cuts):
-                            continue
-                        ts = psi(partition, operators, index, direction, u_local, rhs, sweep)
-                        if ts is None:
-                            continue
-                        ts.cuts = content_cuts(direction, cuts)
-                        use = next_usable_sweep(direction, sweep, plan.directions)
-                        if report.transfer_records is not None:
-                            report.transfer_records.append(
-                                (sweep, direction, index, ts.target,
-                                 use if use is not None else "discarded")
-                            )
-                        if use is None:
-                            report.discarded_sources += 1
-                        else:
-                            queues.setdefault((use, ts.target), []).append(ts)
-                            emitted += 1
-                report.solves += 1
+                arrivals = queues.pop((sweep, index), [])
+                own = sources[index] if sweep == 1 else None
+                emitted = _solve_and_emit(
+                    partition, operators, cache, index, own, arrivals,
+                    directions, combined, report,
+                )
+                queued = 0
+                for ts in emitted or ():
+                    use = next_usable_sweep(ts.direction, sweep, plan.directions)
+                    if use is None:
+                        report.discarded_sources += 1
+                    else:
+                        queues.setdefault((use, ts.target), []).append(ts)
+                        queued += 1
                 if report.events is not None:
                     report.events.append(
                         {"sweep": sweep, "step": step, "subdomain": list(index),
-                         "sources_consumed": consumed, "sources_emitted": emitted,
-                         "nonzero": nonzero}
+                         "sources_consumed": len(arrivals), "sources_emitted": queued,
+                         "nonzero": emitted is not None}
                     )
         if report.partials is not None:
             report.partials.append(combined.copy())
@@ -302,50 +315,27 @@ def additive_ddm_solve(
 ) -> tuple[ComplexField, DdmReport]:
     """The additive overlapping DDM baseline (all subdomains at every step)."""
     t0 = time.perf_counter()
-    dim = partition.dim
     report = DdmReport()
-    directions = source_directions(dim)
+    directions = source_directions(partition.dim)
     sources = restrict_source(f, partition, warn_collar)
+    queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
-    total_steps = sum(partition.counts) - dim + 1
-    history: dict[int, dict] = {}
+    total_steps = sum(partition.counts) - partition.dim + 1
     for step in range(1, total_steps + 1):
-        current = {}
+        # a source sent along d arrives |d|_1 steps later; none arrives past the end
+        reach = [d for d in directions if step + sum(map(abs, d)) <= total_steps]
         for index in sorted(partition.subdomains()):
-            win = partition.window(index)
-            rhs = np.zeros(win.shape, dtype=np.complex128)
-            arrival_cuts = []
-            has_own = False
-            if step == 1:
-                src_win, src_values = sources[index]
-                has_own = bool(np.any(src_values))
-                rhs[win.local_slices(src_win)] += src_values
-            else:
-                for direction in directions:
-                    level = step - sum(abs(c) for c in direction)
-                    source_idx = tuple(i - c for i, c in zip(index, direction))
-                    if level < 1 or any(
-                        not 1 <= i <= n for i, n in zip(source_idx, partition.counts)
-                    ):
-                        continue
-                    entry = history.get(level, {}).get(source_idx)
-                    if entry is None or not emits(direction, entry[2]):
-                        continue
-                    ts = psi(partition, operators, source_idx, direction,
-                             entry[0], entry[1])
-                    rhs[win.local_slices(ts.window)] += ts.values
-                    arrival_cuts.append(content_cuts(direction, entry[2]))
-            report.solves += 1
-            if np.any(rhs):
-                u_local = cache.get(operators[index]).solve(rhs)
-                report.nonzero_solves += 1
-                _accumulate(combined, partition, index, u_local)
-                current[index] = (u_local, rhs, solve_cuts(arrival_cuts, has_own))
-                report.first_nonzero_step.setdefault(index, step)
-            else:
-                current[index] = None
-        history[step] = current
-        history.pop(step - dim, None)
+            own = sources[index] if step == 1 else None
+            emitted = _solve_and_emit(
+                partition, operators, cache, index, own,
+                queues.pop((step, index), []), reach, combined, report,
+            )
+            if emitted is None:
+                continue
+            report.first_nonzero_step.setdefault(index, step)
+            for ts in emitted:
+                arrival = step + sum(map(abs, ts.direction))
+                queues.setdefault((arrival, ts.target), []).append(ts)
     report.wall_time = time.perf_counter() - t0
     return ComplexField(partition.grid, combined), report
 

@@ -143,13 +143,6 @@ def field_norm(u: ComplexField, kind: str = "L2", region: Window | None = None) 
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
-def field_seminorm_h1(u: ComplexField, region: Window | None = None) -> float:
-    values = u.values if region is None else u.values[region.slices()]
-    _check_finite(values)
-    cell = math.prod(u.grid.spacing)
-    return math.sqrt(_h1_semi_sq(values, u.grid.spacing, cell))
-
-
 def field_error(
     u: ComplexField, ref: ComplexField, kind: str = "L2", region: Window | None = None
 ) -> float:

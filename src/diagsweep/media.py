@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ class ConstantModel:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ModelError(f"nonpositive speed {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ModelError(f"speed must be finite and > 0, got {self.c}")
 
     def speed_at(self, points: np.ndarray) -> np.ndarray:
         return np.full(points.shape[:-1], self.c)
@@ -44,8 +44,8 @@ class LayeredModel:
     def __post_init__(self):
         if len(self.speeds) != len(self.depths) + 1:
             raise ModelError("need exactly one more speed than interface depth")
-        if any(s <= 0 for s in self.speeds):
-            raise ModelError("nonpositive layer speed")
+        if not all(math.isfinite(s) and s > 0 for s in self.speeds):
+            raise ModelError(f"layer speeds must be finite and > 0, got {self.speeds}")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ModelError("interface depths must be strictly increasing")
 
@@ -69,8 +69,8 @@ class RasterModel:
     samples: np.ndarray  # float32, shape = raster counts
 
     def __post_init__(self):
-        if np.nanmin(self.samples) <= 0:
-            raise ModelError("raster contains nonpositive speeds")
+        if not np.all(np.isfinite(self.samples) & (self.samples > 0)):
+            raise ModelError("raster speeds must be finite and > 0")
 
     def speed_at(self, points: np.ndarray) -> np.ndarray:
         out = None

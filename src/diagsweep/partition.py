@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,10 +52,6 @@ class Partition:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    @property
-    def overlap_d(self) -> tuple[float, ...]:
-        return tuple(self.overlap_d_points * h for h in self.grid.spacing)
 
     @property
     def interior(self) -> Window:
@@ -105,19 +100,8 @@ class Partition:
 
     # cutoff families ------------------------------------------------------
 
-    def beta_1d(self, axis: int, sign: int, i: int, x) -> np.ndarray | float:
-        """The 1D cutoff factor at physical coordinate(s) x."""
-        coords = self.grid.axis_coords(axis)
-        d = self.overlap_d[axis]
-        bk = self.breaks[axis]
-        if sign == -1 and i != 1:
-            return beta_hat((coords[bk[i - 1]] - np.asarray(x)) / d)
-        if sign == 1 and i != self.counts[axis]:
-            return beta_hat((np.asarray(x) - coords[bk[i]]) / d)
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-
     def beta_1d_nodes(self, axis: int, sign: int, i: int, nodes: np.ndarray):
-        """Exact node-index form of beta_1d (breakpoints are node-aligned)."""
+        """The 1D cutoff factor at node indices (breakpoints are node-aligned)."""
         nodes = np.asarray(nodes)
         d = self.overlap_d_points
         bk = self.breaks[axis]

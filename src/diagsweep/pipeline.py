@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import prod
 
@@ -128,16 +127,6 @@ class Schedule:
     formula_avg: float
     tasks: list[tuple[int, int, int, float, float]] = field(default_factory=list)
     # (step_position, rhs, sweep_instance, start, end)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "makespan": self.makespan,
-                "avg_per_rhs": self.avg_per_rhs,
-                "utilization": self.utilization,
-                "formula_avg": self.formula_avg,
-            }
-        )
 
     def write_gantt_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="") as fh:

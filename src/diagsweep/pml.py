@@ -21,7 +21,6 @@ vanishes on the first d points past the box face.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,8 +46,8 @@ class PmlProfile:
     def __post_init__(self):
         if self.pml_width_points < 1 or self.overlap_d_points < 1:
             raise ConfigurationError("pml width and overlap must be >= 1 point")
-        if self.sigma_max < 0:
-            raise ConfigurationError("sigma_max must be nonnegative")
+        if not self.sigma_max >= 0:
+            raise ConfigurationError(f"sigma_max must be >= 0, got {self.sigma_max}")
 
     def ramp(self, t, h: float, shift_points: int, width_points: int):
         """sigma at distance t past a box face, zero for t <= shift_points*h."""

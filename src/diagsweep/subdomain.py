@@ -21,7 +21,6 @@ share one factorization across sweeps, iterations and right-hand sides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +62,9 @@ class SeparableFactorization:
         last = dim - 1
         # the kappa^2 constant folds into the transposed last-axis factor
         B_last = T[last].T + k2 * np.eye(self.shape[last], dtype=np.complex128)
-        if dim == 2:
-            self._R1, self._Q1 = schur(T[0], output="complex")
-            self._R2, self._Q2 = schur(B_last, output="complex")
-        else:
-            self._R1, self._Q1 = schur(T[0], output="complex")
-            self._R2, self._Q2 = schur(B_last, output="complex")
+        self._R1, self._Q1 = schur(T[0], output="complex")
+        self._R2, self._Q2 = schur(B_last, output="complex")
+        if dim == 3:
             self._R3, self._Q3 = schur(T[1], output="complex")
         self._dim = dim
         self.factor_bytes = sum(

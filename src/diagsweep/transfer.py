@@ -33,7 +33,6 @@ Which sweep may consume a transferred source is decided by two rules:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .pml import DiscreteOperator
 
 @dataclass
 class TransferredSource:
-    """A direction-tagged banded residual source queued for a future sweep.
+    """A direction-tagged banded residual source queued for a later solve.
 
     `cuts` records the (axis, side) breakpoints past which the carried
     content vanishes in exact arithmetic; the engines use it to suppress
@@ -54,7 +53,6 @@ class TransferredSource:
 
     target: tuple[int, ...]
     direction: tuple[int, ...]
-    gen_sweep: int
     window: Window
     values: np.ndarray
     cuts: frozenset = frozenset()
@@ -104,7 +102,6 @@ def psi(
     direction: tuple[int, ...],
     v: np.ndarray,
     rhs: np.ndarray,
-    gen_sweep: int = 0,
 ) -> TransferredSource | None:
     """Transferred source from subdomain `index` along `direction`.
 
@@ -152,15 +149,5 @@ def psi(
         rhs[src_win.local_slices(band)]
         + op.apply(w, region=ext)[ext.local_slices(band)]
     )
-    return TransferredSource(neighbor, tuple(direction), gen_sweep, band, payload)
+    return TransferredSource(neighbor, tuple(direction), band, payload)
 
-
-def write_transfer_csv(records, path, header_comment: str | None = None) -> None:
-    """Diagnostic dump: one row per generated source and its fate."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["gen_sweep", "src_dir", "source", "target", "fate"])
-        for rec in records:
-            writer.writerow(rec)

@@ -76,7 +76,7 @@ def _exactness_setup_2d():
 
 
 def test_criterion_1_2d_convergence(capsys):
-    from diagsweep.cli import _build_problem, _interior_window, _solve_once
+    from diagsweep.cli import _build_problem, _solve_once
     from diagsweep.reference import radial_solution
 
     half = 25.0 / 56.0  # keeps the target mesh spacing h = 1/560 at 500 cells
@@ -100,7 +100,7 @@ def test_criterion_1_2d_convergence(capsys):
         f = cfg.build_source(grid)
         u, _, _, _ = _solve_once(cfg, f, part, ops, gop)
         ref = radial_solution(grid, center, cfg.omega)
-        sl = _interior_window(cfg, grid).slices()
+        sl = part.interior.slices()
         diff = u.values[sl] - ref.values[sl]
         cell = float(np.prod(grid.spacing))
         l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * cell))

@@ -126,6 +126,25 @@ def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, fre
     assert f"{bad}:4: frequency" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", (
+    ("pml_points = 8", "pml_points = 0", "pml_points must be >= 1"),
+    ("overlap_points = 4", "overlap_points = 4\ndamping = nan",
+     "damping must be finite and > 0"),
+    ("speed = 1.0", "speed = nan", "speed must be finite and > 0"),
+    ("restart = 30", "restart = 0", "restart must be >= 1"),
+    ("max_iter = 50", "max_iter = 0", "max_iter must be >= 1"),
+    ("tol = 1e-8", "tol = nan", "tol must be finite and > 0"),
+), ids=("pml_points", "damping", "speed", "restart", "max_iter", "tol"))
+def test_bad_setting_is_a_configuration_error(tmp_path, capsys, old, new, message):
+    text = SMALL.replace(old, new)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    assert _run(["solve", "--config", bad, "--out", tmp_path / "out"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: {message}" in err
+
+
 def test_convergence_study(small_ini, tmp_path):
     out = tmp_path / "out"
     assert _run(["convergence", "--config", small_ini, "--out", out,

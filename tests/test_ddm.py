@@ -1,5 +1,7 @@
 """Diagonal sweeping solves with transferred sources."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ def _setup_2d():
     ops = build_operators(part, profile, constant_model(1.0), kappa)
     gop = build_global_operator(part, profile, constant_model(1.0), kappa)
     return grid, part, ops, gop, kappa
+
+
+def _setup_3d():
+    cells, pml, d = 30, 6, 3
+    n = cells + 2 * pml + 1
+    h = 1.0 / cells
+    grid = make_grid(((0, h * (n - 1)),) * 3, (n,) * 3)
+    part = make_partition(grid, (3, 3, 3), overlap_d_points=d, pml_width_points=pml)
+    kappa = 2 * np.pi * 5
+    profile = PmlProfile(pml, d, tuned_sigma_max(kappa, pml * h))
+    ops = build_operators(part, profile, constant_model(1.0), kappa)
+    return grid, part, ops, kappa
 
 
 def _compact_source(grid, part, index, kappa):
@@ -130,16 +144,24 @@ def test_emission_counts_center_source(prob2d):
         assert emitted[corner] == (sweep, 3, 0)
 
 
-def test_additive_matches_diagonal(prob2d):
-    grid, part, ops, _, kappa = prob2d
-    f = _compact_source(grid, part, (2, 2), kappa)
+@pytest.mark.parametrize("dim, nonzero_solves", ((2, 9), (3, 27)), ids=("2d", "3d"))
+def test_additive_matches_diagonal(prob2d, dim, nonzero_solves):
+    if dim == 2:
+        grid, part, ops, _, kappa = prob2d
+    else:
+        grid, part, ops, kappa = _setup_3d()
+    center = (2,) * dim
+    f = _compact_source(grid, part, center, kappa)
     cache = FactorizationCache()
     u_diag, _ = diagonal_sweep_solve(f, part, ops, cache)
     u_add, report = additive_ddm_solve(f, part, ops, cache)
     rel = np.linalg.norm(u_add.values - u_diag.values) / np.linalg.norm(u_diag.values)
     assert rel < 1e-12
-    assert report.first_nonzero_step[(2, 2)] == 1
-    assert report.first_nonzero_step[(1, 1)] == 3
+    assert report.solves == math.prod(part.counts) * (sum(part.counts) - dim + 1)
+    assert report.nonzero_solves == nonzero_solves
+    assert report.first_nonzero_step[center] == 1
+    # the far corner is |(1,...,1)|_1 = dim transfer steps away
+    assert report.first_nonzero_step[(1,) * dim] == dim + 1
 
 
 def test_octant_partials_converge_by_sweep(prob2d):

@@ -54,6 +54,17 @@ def test_raster_model_interpolation_and_io(tmp_path):
         RasterModel(((0, 1), (0, 1)), np.array([[1.0, -2.0], [1.0, 1.0]], np.float32))
 
 
+@pytest.mark.parametrize("speed", (float("nan"), float("inf")))
+@pytest.mark.parametrize("build", (
+    constant_model,
+    lambda s: layered_model((0.5,), (1.0, s)),
+    lambda s: RasterModel(((0, 1), (0, 1)), np.array([[1.0, s], [1.0, 1.0]], np.float32)),
+), ids=("constant", "layered", "raster"))
+def test_nonfinite_speed_rejected(build, speed):
+    with pytest.raises(ModelError, match="finite and > 0"):
+        build(speed)
+
+
 def test_gaussian_source_normalization():
     grid = make_grid(((-1, 1), (-1, 1)), (401, 401))
     kappa = 10.0

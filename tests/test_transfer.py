@@ -18,7 +18,6 @@ from diagsweep.transfer import (
     psi,
     rule_allows,
     similar_direction,
-    write_transfer_csv,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -156,12 +155,3 @@ def test_psi_reproduces_cutoff_solution_on_neighbor():
     rel = np.linalg.norm(got - want) / np.linalg.norm(a)
     assert rel < 1e-3
 
-
-def test_transfer_csv(tmp_path):
-    records = [(1, (1, 0), (1, 1), (2, 1), 1), (2, (0, -1), (2, 2), (2, 1), "discarded")]
-    path = tmp_path / "transfers.csv"
-    write_transfer_csv(records, path, "hash")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# hash"
-    assert lines[1].startswith("gen_sweep")
-    assert len(lines) == 4
