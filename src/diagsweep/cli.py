@@ -71,6 +71,8 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         u, ddm_report = diagonal_sweep_solve(
             f, partition, operators, cache, record_events=record_events
         )
+        info.update(solves=ddm_report.solves, nonzero_solves=ddm_report.nonzero_solves,
+                    discarded_sources=ddm_report.discarded_sources)
     elif mode == "gmres-ddm":
         def apply_m(v):
             du, _ = diagonal_sweep_solve(
@@ -86,9 +88,13 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         info["n_iter"] = krylov_report.n_iter
         info["converged"] = krylov_report.converged
         info["final_residual"] = krylov_report.residuals[-1]
+        info["precond_s"] = sum(krylov_report.precond_times)
     else:
         raise ConfigurationError(f"unknown solver mode {mode!r}")
     info["wall_time"] = time.perf_counter() - t0
+    if mode != "global-direct":
+        info.update(factorizations=cache.count, cache_hits=cache.hits,
+                    cache_misses=cache.misses, factor_bytes=cache.total_bytes)
     info["residual"] = float(
         np.linalg.norm(gop.apply(u.values, region=full) - f) / np.linalg.norm(f)
     )

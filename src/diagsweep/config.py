@@ -259,7 +259,11 @@ class RunConfig:
         if kind == "layered":
             depths = self.getlist("problem", "depths", float)
             speeds = self.getlist("problem", "speeds", float)
-            return layered_model(tuple(depths), tuple(speeds))
+            try:
+                return layered_model(tuple(depths), tuple(speeds))
+            except ModelError as exc:
+                key = "depths" if "depths" in str(exc) else "speeds"  # ordering check
+                raise ModelError(f"{self._where('problem', key)}: {exc}") from None
         if kind == "raster":
             return load_velocity(self.get("problem", "raster_path"))
         raise ConfigurationError(

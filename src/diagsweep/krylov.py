@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 @dataclass
 class SolveReport:
@@ -50,6 +52,11 @@ def gmres(
     Returns the best iterate and its report; `converged` is False when the
     tolerance was not reached within `max_iter` total iterations.
     """
+    if not (restart >= 1 and max_iter >= 1 and np.isfinite(tol) and tol > 0):
+        raise ConfigurationError(
+            "gmres needs restart >= 1, max_iter >= 1 and a finite tol > 0, got "
+            f"restart={restart}, max_iter={max_iter}, tol={tol}"
+        )
     t0 = time.perf_counter()
     report = SolveReport()
     shape = b.shape

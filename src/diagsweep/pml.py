@@ -15,7 +15,12 @@ exploits.
 
 The absorption profile is polynomial, sigma(t) = sigma_max * (t/L)^p clamped
 at sigma_max, optionally shifted outward by the overlap width d so that it
-vanishes on the first d points past the box face.
+vanishes on the first d points past the box face.  Distances t are in grid
+points from integer node indices (faces at half-integers), not coordinates,
+and kappa^2 is one array broadcastable to the window shape, length 1 along
+constant axes.  So an operator is an exact function of its integer structure
+and medium, and structurally identical subdomains share one cached
+factorization by fingerprint alone.
 """
 
 from __future__ import annotations
@@ -49,14 +54,10 @@ class PmlProfile:
         if not self.sigma_max >= 0:
             raise ConfigurationError(f"sigma_max must be >= 0, got {self.sigma_max}")
 
-    def ramp(self, t, h: float, shift_points: int, width_points: int):
-        """sigma at distance t past a box face, zero for t <= shift_points*h."""
-        s = (np.asarray(t, dtype=float) - shift_points * h) / (width_points * h)
+    def ramp(self, t, shift_points: int, width_points: int):
+        """sigma at t grid points past a box face, zero for t <= shift_points."""
+        s = (np.asarray(t, dtype=float) - shift_points) / width_points
         return self.sigma_max * np.clip(s, 0.0, 1.0) ** self.exponent
-
-    def sigma_hat(self, t, h: float):
-        """The shifted profile used at interior subdomain faces."""
-        return self.ramp(t, h, self.overlap_d_points, self.pml_width_points)
 
 
 def tuned_sigma_max(
@@ -80,8 +81,7 @@ class DiscreteOperator:
     box: Window  # PML-free box, node indices
     alpha_nodes: list[np.ndarray]
     alpha_faces: list[np.ndarray]  # length m+1 per axis, face i at x_i - h/2
-    kappa2_kind: str  # 'const' | 'axis' | 'full'
-    kappa2: object  # float | (axis, 1d array) | ndarray
+    kappa2: np.ndarray  # broadcasts to the window shape, length 1 where constant
 
     @property
     def dim(self) -> int:
@@ -89,7 +89,7 @@ class DiscreteOperator:
 
     @property
     def separable(self) -> bool:
-        return self.kappa2_kind != "full"
+        return sum(n > 1 for n in self.kappa2.shape) <= 1
 
     def axis_coefficients(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Couplings (c_lo, c_hi) to the previous/next node along `axis`."""
@@ -117,19 +117,12 @@ class DiscreteOperator:
             [c_lo[1:], -(c_lo + c_hi), c_hi[:-1]], [-1, 0, 1], format="csr"
         )
 
-    def kappa2_values(self, region: Window | None = None) -> np.ndarray | float:
-        """kappa^2 broadcastable to the (sub)window shape."""
+    def kappa2_values(self, region: Window | None = None) -> np.ndarray:
+        """kappa^2 on the (sub)window, as a read-only broadcast view."""
         if region is None:
             region = self.window
         local = self.window.local_slices(region)
-        if self.kappa2_kind == "const":
-            return self.kappa2
-        if self.kappa2_kind == "axis":
-            axis, values = self.kappa2
-            shape = [1] * self.dim
-            shape[axis] = -1
-            return values[local[axis]].reshape(shape)
-        return self.kappa2[local]
+        return np.broadcast_to(self.kappa2, self.window.shape)[local]
 
     def apply(self, v: np.ndarray, region: Window | None = None) -> np.ndarray:
         """Stencil action on `v` given on `region` (zero outside), result on `region`."""
@@ -168,48 +161,40 @@ class DiscreteOperator:
             for f in factors[1:]:
                 term = sp.kron(term, f, format="csr")
             total = term if total is None else total + term
-        k2 = np.broadcast_to(self.kappa2_values(), shape).ravel()
-        return (total + sp.diags(k2)).tocsr()
+        return (total + sp.diags(self.kappa2_values().ravel())).tocsr()
 
     @cached_property
     def fingerprint(self) -> str:
         digest = hashlib.sha1()
-        digest.update(repr((self.window.shape, self.kappa2_kind, self.grid.spacing)).encode())
-        for arr in (*self.alpha_nodes, *self.alpha_faces):
+        digest.update(repr((self.window.shape, self.grid.spacing, self.kappa2.shape)).encode())
+        for arr in (*self.alpha_nodes, *self.alpha_faces, self.kappa2):
             digest.update(arr.tobytes())
-        if self.kappa2_kind == "const":
-            digest.update(repr(self.kappa2).encode())
-        elif self.kappa2_kind == "axis":
-            digest.update(repr(self.kappa2[0]).encode())
-            digest.update(self.kappa2[1].tobytes())
-        else:
-            digest.update(self.kappa2.tobytes())
         return digest.hexdigest()
 
 
-def _sigma_axis(coords, box_lo, box_hi, h, profile, shift_lo, shift_hi):
-    below = profile.ramp(box_lo - coords, h, shift_lo, profile.pml_width_points)
-    above = profile.ramp(coords - box_hi, h, shift_hi, profile.pml_width_points)
+def _sigma_axis(index, box_lo, box_hi, profile, shift_lo, shift_hi):
+    below = profile.ramp(box_lo - index, shift_lo, profile.pml_width_points)
+    above = profile.ramp(index - box_hi, shift_hi, profile.pml_width_points)
     return below + above
 
 
-def _kappa2_structure(grid, window, velocity, omega, clamp_box):
+def _kappa2(grid, window, velocity, omega, clamp_box):
+    """kappa^2 broadcastable to the window shape, length 1 along constant axes."""
     slices = window.slices()
     coords = [
         np.clip(grid.axis_coords(a)[slices[a]], clamp_box[a][0], clamp_box[a][1])
         for a in range(grid.dim)
     ]
     if isinstance(velocity, ConstantModel):
-        return "const", (omega / velocity.c) ** 2
+        return np.full((1,) * grid.dim, (omega / velocity.c) ** 2)
     if isinstance(velocity, LayeredModel):
-        axis = grid.dim - 1
-        speed = velocity.speed_of_depth(coords[axis])
-        return "axis", (axis, (omega / speed) ** 2)
+        speed = velocity.speed_of_depth(coords[-1])
+        return ((omega / speed) ** 2).reshape((1,) * (grid.dim - 1) + (-1,))
     mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
     speed = velocity.speed_at(mesh)
     if np.any(speed <= 0):
         raise ModelError("nonpositive velocity inside operator window")
-    return "full", (omega / speed) ** 2
+    return (omega / speed) ** 2
 
 
 def assemble_operator(
@@ -237,10 +222,6 @@ def assemble_operator(
         )
     alpha_nodes, alpha_faces = [], []
     for axis in range(dim):
-        h = grid.spacing[axis]
-        coords = grid.axis_coords(axis)
-        box_lo = coords[box.lo[axis]]
-        box_hi = coords[box.hi[axis]]
         shift_lo = box.lo[axis] - window.lo[axis] - profile.pml_width_points
         shift_hi = window.hi[axis] - box.hi[axis] - profile.pml_width_points
         if shift_lo < 0 or shift_hi < 0:
@@ -255,11 +236,12 @@ def assemble_operator(
             shift_lo += 1
         if shift_hi > 0:
             shift_hi += 1
-        nodes = coords[window.lo[axis] : window.hi[axis] + 1]
-        faces = np.concatenate([nodes - h / 2, [nodes[-1] + h / 2]])
-        sig_n = _sigma_axis(nodes, box_lo, box_hi, h, profile, shift_lo, shift_hi)
-        sig_f = _sigma_axis(faces, box_lo, box_hi, h, profile, shift_lo, shift_hi)
+        nodes = np.arange(window.lo[axis], window.hi[axis] + 1, dtype=float)
+        faces = np.append(nodes - 0.5, nodes[-1] + 0.5)
+        lo, hi = box.lo[axis], box.hi[axis]
+        sig_n = _sigma_axis(nodes, lo, hi, profile, shift_lo, shift_hi)
+        sig_f = _sigma_axis(faces, lo, hi, profile, shift_lo, shift_hi)
         alpha_nodes.append(1.0 + 1j * sig_n)
         alpha_faces.append(1.0 + 1j * sig_f)
-    kind, kappa2 = _kappa2_structure(grid, window, velocity, omega, clamp_box)
-    return DiscreteOperator(grid, window, box, alpha_nodes, alpha_faces, kind, kappa2)
+    kappa2 = _kappa2(grid, window, velocity, omega, clamp_box)
+    return DiscreteOperator(grid, window, box, alpha_nodes, alpha_faces, kappa2)

@@ -8,15 +8,19 @@ Two backends are provided behind one interface:
   direct solver.  2D solves reduce to one triangular Sylvester equation
   (LAPACK ztrsyl).  3D solves triangularize all three axes and peel the
   middle one slab by slab, each slab again a ztrsyl solve in the first and
-  last axes; as in 2D, kappa^2 folds into the transposed last-axis factor.
-  Every axis transform is a GEMM.  All transforms are unitary and all
-  solves triangular, so the method is backward stable.
+  last axes.  kappa^2 varies along at most one axis and folds into that
+  axis's factor (the last one when kappa^2 is constant); the last-axis
+  factor is transposed.  Every axis transform is a GEMM.  All transforms are
+  unitary and all solves triangular, so the method is backward stable.
 
 * splu: general sparse LU (SuperLU) on the full window matrix, used whenever
-  kappa^2 is not tensor-structured (raster media).
+  kappa^2 varies along more than one axis (raster media).
 
-Factorizations are cached by operator fingerprint so identical subdomains
-share one factorization across sweeps, iterations and right-hand sides.
+Factorizations are cached by operator fingerprint.  Operators are exact
+functions of their integer structure, so structurally identical subdomains
+share one factorization across sweeps, iterations and right-hand sides: a
+constant medium on N^dim equal boxes needs 3^dim (first, interior or last
+along each axis).
 """
 
 from __future__ import annotations
@@ -53,24 +57,19 @@ class SeparableFactorization:
         self.shape = op.window.shape
         dim = op.dim
         T = [op.tridiag_dense(a) for a in range(dim)]
-        if op.kappa2_kind == "axis":
-            axis, values = op.kappa2
-            T[axis] += np.diag(values.astype(np.complex128))
-            k2 = 0.0
-        else:
-            k2 = complex(op.kappa2)
-        last = dim - 1
-        # the kappa^2 constant folds into the transposed last-axis factor
-        B_last = T[last].T + k2 * np.eye(self.shape[last], dtype=np.complex128)
+        # kappa^2 joins the diagonal of the axis along which it varies, or of
+        # the last axis when it is constant; the last-axis factor is transposed
+        axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), dim - 1)
+        diag = np.arange(self.shape[axis])
+        T[axis][diag, diag] += op.kappa2.ravel()
         self._R1, self._Q1 = schur(T[0], output="complex")
-        self._R2, self._Q2 = schur(B_last, output="complex")
+        self._R2, self._Q2 = schur(T[-1].T, output="complex")
         if dim == 3:
             self._R3, self._Q3 = schur(T[1], output="complex")
         self._dim = dim
         self.factor_bytes = sum(
-            getattr(self, name).nbytes
-            for name in ("_R1", "_Q1", "_R2", "_Q2")
-        ) + (self._R3.nbytes + self._Q3.nbytes if dim == 3 else 0)
+            a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape != self.shape:
@@ -148,7 +147,6 @@ def factorize(op: DiscreteOperator, method: str = "auto") -> Factorization:
 class FactorizationCache:
     """Shares factorizations between subdomains with identical operators."""
 
-    method: str = "auto"
     _store: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -157,7 +155,7 @@ class FactorizationCache:
         key = op.fingerprint
         fact = self._store.get(key)
         if fact is None:
-            fact = factorize(op, self.method)
+            fact = factorize(op)
             self._store[key] = fact
             self.misses += 1
         else:

@@ -98,6 +98,25 @@ def test_event_log(small_ini, tmp_path):
     assert len(events) == 4 * 4  # sweeps x subdomains
 
 
+def test_ddm_counters_in_solve_report(small_ini, tmp_path):
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_ini, "--out", out,
+                 "--set", "solver.mode=direct-ddm",
+                 "--set", "partition.counts=4,4",
+                 "--set", "discretization.interior_cells=80"]) == 0
+    info = json.loads((out / "solve_report.json").read_text())
+    # interior subdomains of a constant medium share one factorization
+    assert info["factorizations"] == 9
+    assert info["cache_misses"] == 9 and info["cache_hits"] > 0
+    assert info["factor_bytes"] > 0
+    assert info["solves"] >= info["nonzero_solves"] > 0
+    assert "discarded_sources" in info
+    out = tmp_path / "gmres"
+    assert _run(["solve", "--config", small_ini, "--out", out]) == 0
+    info = json.loads((out / "solve_report.json").read_text())
+    assert info["precond_s"] > 0 and info["factorizations"] == 4
+
+
 def test_exit_codes(small_ini, tmp_path):
     out = tmp_path / "out"
     # unknown mode and malformed --set are configuration errors
@@ -134,7 +153,12 @@ def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, fre
     ("restart = 30", "restart = 0", "restart must be >= 1"),
     ("max_iter = 50", "max_iter = 0", "max_iter must be >= 1"),
     ("tol = 1e-8", "tol = nan", "tol must be finite and > 0"),
-), ids=("pml_points", "damping", "speed", "restart", "max_iter", "tol"))
+    ("medium = constant", "medium = layered\ndepths = 0.5\nspeeds = 1, nan",
+     "layer speeds must be finite and > 0"),
+    ("medium = constant", "medium = layered\nspeeds = 1, 2, 1.5\ndepths = 0.6, 0.3",
+     "interface depths must be strictly increasing"),
+), ids=("pml_points", "damping", "speed", "restart", "max_iter", "tol",
+        "layer_speeds", "layer_depths"))
 def test_bad_setting_is_a_configuration_error(tmp_path, capsys, old, new, message):
     text = SMALL.replace(old, new)
     bad = tmp_path / "bad.ini"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diagsweep.errors import ConfigurationError
 from diagsweep.krylov import gmres
 
 
@@ -72,3 +73,11 @@ def test_shape_preserved_and_csv(tmp_path):
     assert lines[0] == "# cfg"
     assert lines[1].startswith("iteration")
     assert len(lines) == 2 + len(report.residuals)
+
+
+@pytest.mark.parametrize("settings", (
+    {"restart": 0}, {"max_iter": 0}, {"tol": float("nan")}, {"tol": 0.0},
+), ids=("restart", "max_iter", "tol-nan", "tol-zero"))
+def test_bad_settings_raise(settings):
+    with pytest.raises(ConfigurationError):
+        gmres(lambda v: v, lambda v: v, np.ones(4), **settings)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from diagsweep.ddm import build_operators
 from diagsweep.errors import ConfigurationError
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import RasterModel, constant_model, layered_model
+from diagsweep.partition import make_partition
 from diagsweep.pml import PmlProfile, assemble_operator
 from diagsweep.subdomain import FactorizationCache, factorize
 
@@ -45,16 +47,16 @@ def test_backends_agree(dim):
 # along the wrong axis fails instead of hiding behind a cube's symmetry
 NONCUBIC = (13, 17, 19)
 NONCUBIC_MEDIA = pytest.mark.parametrize(
-    "model, kind",
-    ((None, "const"), (layered_model((0.5,), (1.0, 2.0)), "axis")),
+    "model, kappa2_shape",
+    ((None, (1, 1, 1)), (layered_model((0.5,), (1.0, 2.0)), (1, 1, NONCUBIC[2]))),
     ids=("const", "layered"),
 )
 
 
 @NONCUBIC_MEDIA
-def test_backends_agree_noncubic_3d(model, kind):
+def test_backends_agree_noncubic_3d(model, kappa2_shape):
     op = _op(3, NONCUBIC, model=model)
-    assert op.window.shape == NONCUBIC and op.kappa2_kind == kind
+    assert op.window.shape == NONCUBIC and op.kappa2.shape == kappa2_shape
     rng = np.random.default_rng(2)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
     u_sep = factorize(op, "separable").solve(rhs)
@@ -63,7 +65,7 @@ def test_backends_agree_noncubic_3d(model, kind):
 
 
 @NONCUBIC_MEDIA
-def test_round_trip_residual_noncubic_3d(model, kind):
+def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
     op = _op(3, NONCUBIC, model=model)
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
@@ -106,3 +108,32 @@ def test_cache_shares_identical_operators():
     assert cache.count == 2
     assert cache.hits == 1 and cache.misses == 2
     assert cache.total_bytes > 0
+
+
+def _partition_operators(counts, model, cells=40, pml=4, overlap=2):
+    dim = len(counts)
+    h = 1.0 / cells
+    grid = make_grid([(-pml * h, 1.0 + pml * h)] * dim, [cells + 2 * pml + 1] * dim)
+    partition = make_partition(grid, counts, overlap, pml)
+    profile = PmlProfile(pml, overlap, sigma_max=2.0)
+    return build_operators(partition, profile, model, 9.0)
+
+
+RASTER = RasterModel(((0, 1), (0, 1)),
+                     np.random.default_rng(6).uniform(1.0, 3.0, (9, 9)).astype(np.float32))
+
+
+@pytest.mark.parametrize("counts, model, count", (
+    ((4, 4), constant_model(1.0), 9),
+    ((5, 5), constant_model(1.0), 9),
+    ((4, 4, 4), constant_model(1.0), 27),
+    ((4, 4), layered_model((0.3, 0.6), (1.0, 2.0, 1.5)), 12),
+    ((4, 4), RASTER, 16),
+), ids=("const-4x4", "const-5x5", "const-4x4x4", "layered-4x4", "raster-4x4"))
+def test_cache_shares_structurally_identical_subdomains(counts, model, count):
+    """Constant media need 3 distinct operators per axis (first, interior,
+    last); layered media 3 per axis across depth and one per depth row."""
+    cache = FactorizationCache()
+    for op in _partition_operators(counts, model).values():
+        cache.get(op)
+    assert cache.count == count
