@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,7 +156,6 @@ class DdmReport:
     solves: int = 0
     nonzero_solves: int = 0
     discarded_sources: int = 0
-    wall_time: float = 0.0
     events: list | None = None
     partials: list | None = None
     first_nonzero_step: dict = field(default_factory=dict)
@@ -262,7 +260,6 @@ def diagonal_sweep_solve(
     warn_collar: bool = True,
 ) -> tuple[ComplexField, DdmReport]:
     """One application of the diagonal sweeping DDM to the source `f`."""
-    t0 = time.perf_counter()
     plan = plan or SweepPlan.default(partition.dim)
     report = DdmReport(
         events=[] if record_events else None,
@@ -301,7 +298,6 @@ def diagonal_sweep_solve(
             report.partials.append(combined.copy())
     if queues:
         raise SolverError("pending transferred sources left after the last sweep")
-    report.wall_time = time.perf_counter() - t0
     return ComplexField(partition.grid, combined), report
 
 
@@ -314,7 +310,6 @@ def additive_ddm_solve(
     warn_collar: bool = True,
 ) -> tuple[ComplexField, DdmReport]:
     """The additive overlapping DDM baseline (all subdomains at every step)."""
-    t0 = time.perf_counter()
     report = DdmReport()
     directions = source_directions(partition.dim)
     sources = restrict_source(f, partition, warn_collar)
@@ -336,7 +331,6 @@ def additive_ddm_solve(
             for ts in emitted:
                 arrival = step + sum(map(abs, ts.direction))
                 queues.setdefault((arrival, ts.target), []).append(ts)
-    report.wall_time = time.perf_counter() - t0
     return ComplexField(partition.grid, combined), report
 
 

@@ -9,12 +9,17 @@ transfer across the global boundary).
 
 Subdomain indices are 1-based tuples, matching the (i, j, k) convention used
 throughout.
+
+Only the partition reads its breakpoints: the transfer geometry of each
+(index, direction) and the beta_{0,0} blend of each index are built once, on
+first use, so `transfer.psi` and the engines' blend do only arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +34,25 @@ def beta_hat(t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _outer(window: Window, axes, factor) -> np.ndarray:
+    """Ones on `window` (length 1 off `axes`) times factor(a, nodes of a), a in `axes`."""
+    out = np.ones(tuple(n if a in axes else 1 for a, n in enumerate(window.shape)))
+    for a in axes:
+        f = factor(a, np.arange(window.lo[a], window.hi[a] + 1))
+        out = out * f.reshape([-1 if b == a else 1 for b in range(len(window.shape))])
+    return out
+
+
+def _per_instance(method):
+    """Cache a Partition method's result per argument tuple on the instance."""
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return functools.wraps(method)(cached)
 
 
 @dataclass(frozen=True)
@@ -46,8 +70,8 @@ class Partition:
     counts: tuple[int, ...]
     overlap_d_points: int
     pml_width_points: int
-    collar_points: int
     breaks: tuple[tuple[int, ...], ...]  # node indices, length N_axis + 1 per axis
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -111,27 +135,45 @@ class Partition:
             return beta_hat((nodes - bk[i]) / d)
         return np.ones(nodes.shape)
 
-    def beta00_axis_nodes(self, axis: int, i: int, nodes: np.ndarray) -> np.ndarray:
-        return self.beta_1d_nodes(axis, -1, i, nodes) * self.beta_1d_nodes(
-            axis, 1, i, nodes
-        )
-
+    @_per_instance
     def beta00_support(self, index: tuple[int, ...]) -> tuple[Window, np.ndarray]:
-        """Support window of beta_{0,0;index} and its sampled values."""
-        win = self.window(index)
-        lo, hi = [], []
-        for a, i in enumerate(index):
-            bk = self.breaks[a]
-            lo.append(bk[i - 1] - self.overlap_d_points if i > 1 else win.lo[a])
-            hi.append(bk[i] + self.overlap_d_points if i < self.counts[a] else win.hi[a])
-        support = Window(tuple(lo), tuple(hi))
-        values = np.ones(support.shape)
-        for a, i in enumerate(index):
-            nodes = np.arange(support.lo[a], support.hi[a] + 1)
-            shape = [1] * self.dim
-            shape[a] = -1
-            values = values * self.beta00_axis_nodes(a, i, nodes).reshape(shape)
+        """Support window of beta_{0,0;index}, the window less the PML at
+        interior faces, and its sampled values (read-only)."""
+        win, p = self.window(index), self.pml_width_points
+        support = Window(
+            tuple(lo + p * (i > 1) for lo, i in zip(win.lo, index)),
+            tuple(hi - p * (i < n) for hi, i, n in zip(win.hi, index, self.counts)),
+        )
+        values = _outer(support, range(self.dim), lambda a, x: self.beta_1d_nodes(
+            a, -1, index[a], x) * self.beta_1d_nodes(a, 1, index[a], x))
+        values.flags.writeable = False
         return support, values
+
+    @_per_instance
+    def transfer_geometry(self, index: tuple[int, ...], direction: tuple[int, ...]):
+        """(target, band, ext, slices, sign, weight) of Psi_{direction; index}, or
+        None when the target lies outside the partition.  `slices` places ext
+        and band in the source window and band in ext; `weight` =
+        prod_a (1 - beta_a) - 1 on `ext`, of length 1 off the crossed axes.
+        """
+        target = tuple(i + c for i, c in zip(index, direction))
+        if any(not 1 <= i <= n for i, n in zip(target, self.counts)):
+            return None
+        src_win = self.window(index)
+        both = src_win.intersect(self.window(target))
+        lo, hi = list(both.lo), list(both.hi)
+        crossed = [a for a, comp in enumerate(direction) if comp]
+        for a in crossed:
+            edge = self.breaks[a][index[a] + (direction[a] - 1) // 2]
+            lo[a], hi[a] = sorted((edge, edge + direction[a] * self.overlap_d_points))
+        band = Window(tuple(lo), tuple(hi))
+        ext = band.grow(1).intersect(both)
+        weight = _outer(ext, crossed, lambda a, x: 1.0 - self.beta_1d_nodes(
+            a, direction[a], index[a], x)) - 1.0
+        weight.flags.writeable = False
+        slices = (src_win.local_slices(ext), src_win.local_slices(band),
+                  ext.local_slices(band))
+        return target, band, ext, slices, (-1.0) ** (len(crossed) + 1), weight
 
     def chi_indicator(
         self, direction: tuple[int, ...], index: tuple[int, ...], node: tuple[int, ...]
@@ -155,17 +197,14 @@ def make_partition(
     counts,
     overlap_d_points: int,
     pml_width_points: int,
-    collar_points: int | None = None,
 ) -> Partition:
-    """Partition the interior (grid minus boundary collar) into equal boxes."""
+    """Partition the interior (grid minus the PML-wide boundary collar) into equal boxes."""
     counts = tuple(int(n) for n in counts)
     if len(counts) != grid.dim or any(n < 1 for n in counts):
         raise ConfigurationError(f"bad partition counts {counts} for dim {grid.dim}")
-    if collar_points is None:
-        collar_points = pml_width_points
     breaks = []
     for axis, n_sub in enumerate(counts):
-        cells = grid.counts[axis] - 1 - 2 * collar_points
+        cells = grid.counts[axis] - 1 - 2 * pml_width_points
         if cells < n_sub:
             raise ConfigurationError(
                 f"axis {axis}: interior has only {cells} cells for {n_sub} subdomains"
@@ -175,10 +214,9 @@ def make_partition(
                 f"axis {axis}: {cells} interior cells not divisible by {n_sub} subdomains"
             )
         per = cells // n_sub
-        breaks.append(tuple(collar_points + i * per for i in range(n_sub + 1)))
+        breaks.append(tuple(pml_width_points + i * per for i in range(n_sub + 1)))
     part = Partition(
-        grid, counts, int(overlap_d_points), int(pml_width_points), int(collar_points),
-        tuple(breaks),
+        grid, counts, int(overlap_d_points), int(pml_width_points), tuple(breaks)
     )
     reach = part.overlap_d_points + part.pml_width_points
     for axis, n_sub in enumerate(counts):

@@ -24,10 +24,9 @@ sweep direction selects.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from .errors import ConfigurationError
@@ -125,20 +124,9 @@ class Schedule:
     avg_per_rhs: float
     utilization: list[float]
     formula_avg: float
-    tasks: list[tuple[int, int, int, float, float]] = field(default_factory=list)
-    # (step_position, rhs, sweep_instance, start, end)
-
-    def write_gantt_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step_position", "rhs", "sweep_instance", "start", "end"])
-            for row in sorted(self.tasks, key=lambda r: (r[3], r[0])):
-                writer.writerow(row[:3] + (f"{row[3]:.6f}", f"{row[4]:.6f}"))
 
 
-def simulate_pipeline(spec: PipelineSpec, plan=None, keep_tasks: bool = False) -> Schedule:
+def simulate_pipeline(spec: PipelineSpec) -> Schedule:
     """Discrete-event schedule of all solves across the pipeline.
 
     Cores sharing an anti-diagonal step position run in lockstep (identical
@@ -148,11 +136,8 @@ def simulate_pipeline(spec: PipelineSpec, plan=None, keep_tasks: bool = False) -
     last position of instance m-1 of the same right-hand side.  Ready work is
     started oldest-first.
     """
-    n_sweeps = len(plan.directions) if plan is not None else spec.n_sweeps
-    if plan is not None and len(plan.directions[0]) != spec.dim:
-        raise ConfigurationError("sweep plan dimension does not match spec counts")
     n_pos = spec.fill_steps
-    n_inst = n_sweeps * spec.n_iter
+    n_inst = spec.n_sweeps * spec.n_iter
     t0, tc = spec.t0, spec.transfer_cost
     core_time = [0.0] * n_pos
     busy = [0.0] * n_pos
@@ -162,7 +147,6 @@ def simulate_pipeline(spec: PipelineSpec, plan=None, keep_tasks: bool = False) -
     seq = itertools.count(spec.n_rhs)
     heap = [(0.0, q, q, 0, 0) for q in range(spec.n_rhs)]
     heapq.heapify(heap)
-    tasks = []
     makespan = 0.0
     while heap:
         start, s, q, m, p = heapq.heappop(heap)
@@ -173,8 +157,6 @@ def simulate_pipeline(spec: PipelineSpec, plan=None, keep_tasks: bool = False) -
         core_time[p] = end
         busy[p] += t0
         makespan = max(makespan, end)
-        if keep_tasks:
-            tasks.append((p, q, m, start, end))
         if p + 1 < n_pos:
             heapq.heappush(heap, (max(end + tc, core_time[p + 1]), next(seq), q, m, p + 1))
         elif m + 1 < n_inst:
@@ -194,5 +176,4 @@ def simulate_pipeline(spec: PipelineSpec, plan=None, keep_tasks: bool = False) -
         avg_per_rhs=makespan / spec.n_rhs,
         utilization=utilization,
         formula_avg=average_time_diagonal(spec),
-        tasks=tasks,
     )

@@ -9,7 +9,8 @@ with one complementary cutoff factor (1 - beta_a) per nonzero component of
 the direction, the solved local right-hand side r, the NEIGHBOR's operator,
 and the inclusion-exclusion sign s = (-1)^(|dir|_1 + 1).  The band is the
 d+1 node layers from the shared breakpoint on (per nonzero axis; the window
-intersection along the others).
+intersection along the others).  Band, sign and cutoff weight depend only on
+(index, direction): `Partition.transfer_geometry` builds them once.
 
 The expression is L(prod (1-beta_a) v) on the band with the subset-free term
 L(v) replaced by the identity L(v) = r, which keeps every stencil evaluation
@@ -39,7 +40,6 @@ import numpy as np
 
 from .grid import Window
 from .partition import Partition
-from .pml import DiscreteOperator
 
 
 @dataclass
@@ -109,45 +109,10 @@ def psi(
     local right-hand side it solves.  Returns None when the neighbor falls
     outside the partition (no transfer across the global boundary).
     """
-    neighbor = tuple(i + c for i, c in zip(index, direction))
-    if any(not 1 <= i <= n for i, n in zip(neighbor, partition.counts)):
+    geometry = partition.transfer_geometry(index, direction)
+    if geometry is None:
         return None
-    d = partition.overlap_d_points
-    src_win = partition.window(index)
-    nb_win = partition.window(neighbor)
-    lo, hi = [], []
-    for a, comp in enumerate(direction):
-        bk = partition.breaks[a]
-        i = index[a]
-        if comp == 1:
-            lo.append(bk[i])
-            hi.append(bk[i] + d)
-        elif comp == -1:
-            lo.append(bk[i - 1] - d)
-            hi.append(bk[i - 1])
-        else:
-            lo.append(max(src_win.lo[a], nb_win.lo[a]))
-            hi.append(min(src_win.hi[a], nb_win.hi[a]))
-    band = Window(tuple(lo), tuple(hi))
-    ext = band.grow(1).intersect(src_win).intersect(nb_win)
-    weight = np.ones(ext.shape)
-    order = 0
-    for a, comp in enumerate(direction):
-        if comp == 0:
-            continue
-        order += 1
-        nodes = np.arange(ext.lo[a], ext.hi[a] + 1)
-        shape = [1] * partition.dim
-        shape[a] = -1
-        weight = weight * (
-            1.0 - partition.beta_1d_nodes(a, comp, index[a], nodes).reshape(shape)
-        )
-    w = (weight - 1.0) * v[src_win.local_slices(ext)]
-    op: DiscreteOperator = operators[neighbor]
-    sign = 1.0 if order % 2 == 1 else -1.0
-    payload = sign * (
-        rhs[src_win.local_slices(band)]
-        + op.apply(w, region=ext)[ext.local_slices(band)]
-    )
-    return TransferredSource(neighbor, tuple(direction), band, payload)
-
+    target, band, ext, (v_ext, rhs_band, ext_band), sign, weight = geometry
+    correction = operators[target].apply(weight * v[v_ext], region=ext)
+    payload = sign * (rhs[rhs_band] + correction[ext_band])
+    return TransferredSource(target, tuple(direction), band, payload)

@@ -108,17 +108,3 @@ def test_core_assignment_covers_each_sweep(counts):
                 base, (1,) * dim, counts
             )
 
-
-def test_gantt_csv(tmp_path):
-    schedule = simulate_pipeline(PipelineSpec((2, 2), 2, 1), keep_tasks=True)
-    path = tmp_path / "gantt.csv"
-    schedule.write_gantt_csv(path, "cfg")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# cfg"
-    # one row per (position, rhs, sweep instance)
-    assert len(lines) == 2 + 3 * 2 * 4
-
-
-def test_plan_dimension_checked():
-    with pytest.raises(ConfigurationError):
-        simulate_pipeline(PipelineSpec((2, 2), 1, 1), plan=SweepPlan.default(3))

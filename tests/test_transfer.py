@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diagsweep.ddm import SweepPlan, build_operators
-from diagsweep.grid import make_grid
+from diagsweep.grid import Window, make_grid
 from diagsweep.media import constant_model
 from diagsweep.partition import make_partition
 from diagsweep.pml import PmlProfile, tuned_sigma_max
@@ -155,3 +155,92 @@ def test_psi_reproduces_cutoff_solution_on_neighbor():
     rel = np.linalg.norm(got - want) / np.linalg.norm(a)
     assert rel < 1e-3
 
+
+
+def _reference_psi(part, ops, index, direction, v, rhs):
+    """Psi with its geometry rebuilt on every call, as a direct reading of the
+    transfer formula: band, ext window, cutoff weight and sign from scratch."""
+    target = tuple(i + c for i, c in zip(index, direction))
+    if any(not 1 <= i <= n for i, n in zip(target, part.counts)):
+        return None
+    d = part.overlap_d_points
+    src_win, nb_win = part.window(index), part.window(target)
+    lo, hi = [], []
+    for a, comp in enumerate(direction):
+        bk = part.breaks[a]
+        i = index[a]
+        if comp == 1:
+            lo.append(bk[i])
+            hi.append(bk[i] + d)
+        elif comp == -1:
+            lo.append(bk[i - 1] - d)
+            hi.append(bk[i - 1])
+        else:
+            lo.append(max(src_win.lo[a], nb_win.lo[a]))
+            hi.append(min(src_win.hi[a], nb_win.hi[a]))
+    band = Window(tuple(lo), tuple(hi))
+    ext = band.grow(1).intersect(src_win).intersect(nb_win)
+    weight = np.ones(ext.shape)
+    for a, comp in enumerate(direction):
+        if comp:
+            shape = [1] * part.dim
+            shape[a] = -1
+            nodes = np.arange(ext.lo[a], ext.hi[a] + 1)
+            weight = weight * (1.0 - part.beta_1d_nodes(a, comp, index[a], nodes).reshape(shape))
+    w = (weight - 1.0) * v[src_win.local_slices(ext)]
+    sign = 1.0 if sum(map(abs, direction)) % 2 == 1 else -1.0
+    payload = sign * (
+        rhs[src_win.local_slices(band)]
+        + ops[target].apply(w, region=ext)[ext.local_slices(band)]
+    )
+    return target, band, payload
+
+
+def _reference_beta00(part, index):
+    win = part.window(index)
+    d = part.overlap_d_points
+    lo = [bk[i - 1] - d if i > 1 else w for bk, i, w in zip(part.breaks, index, win.lo)]
+    hi = [bk[i] + d if i < n else w
+          for bk, i, n, w in zip(part.breaks, index, part.counts, win.hi)]
+    support = Window(tuple(lo), tuple(hi))
+    values = np.ones(support.shape)
+    for a, i in enumerate(index):
+        shape = [1] * part.dim
+        shape[a] = -1
+        nodes = np.arange(support.lo[a], support.hi[a] + 1)
+        beta = part.beta_1d_nodes(a, -1, i, nodes) * part.beta_1d_nodes(a, 1, i, nodes)
+        values = values * beta.reshape(shape)
+    return support, values
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_psi_and_beta00_match_per_call_geometry(dim):
+    """The partition's cached geometry gives bit-identical transfers and
+    blends for every (index, direction), twice in a row."""
+    pml, d, per = 3, 2, 6
+    n = 3 * per + 2 * pml + 1
+    grid = make_grid(((0, 1),) * dim, (n,) * dim)
+    part = make_partition(grid, (3,) * dim, d, pml)
+    profile = PmlProfile(pml, d, tuned_sigma_max(10.0, pml / (3 * per)))
+    ops = build_operators(part, profile, constant_model(1.0), 10.0)
+    rng = np.random.default_rng(3)
+    directions = [c for c in itertools.product((-1, 0, 1), repeat=dim) if any(c)]
+    for index in part.subdomains():
+        shape = part.window(index).shape
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for direction in directions:
+            want = _reference_psi(part, ops, index, direction, v, rhs)
+            for _ in range(2):
+                got = psi(part, ops, index, direction, v, rhs)
+                if want is None:
+                    assert got is None, (index, direction)
+                    continue
+                assert (got.target, got.window) == want[:2], (index, direction)
+                assert got.direction == direction
+                assert np.array_equal(got.values, want[2]), (index, direction)
+        want_support, want_values = _reference_beta00(part, index)
+        for _ in range(2):
+            support, values = part.beta00_support(index)
+            assert support == want_support, index
+            assert np.array_equal(values, want_values), index
