@@ -27,7 +27,6 @@ class SolveReport:
     residuals: list = field(default_factory=list)  # true relative residual
     times: list = field(default_factory=list)  # cumulative seconds
     precond_times: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def write_residual_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="") as fh:
@@ -67,7 +66,6 @@ def gmres(
         report.converged = True
         report.residuals.append(0.0)
         report.times.append(time.perf_counter() - t0)
-        report.wall_time = report.times[-1]
         return x.reshape(shape), report
 
     def mat(v):
@@ -150,5 +148,4 @@ def gmres(
         if k_done == 0:
             break
     report.converged = bool(residual / norm_b <= tol)
-    report.wall_time = time.perf_counter() - t0
     return x.reshape(shape), report

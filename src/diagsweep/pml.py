@@ -91,31 +91,40 @@ class DiscreteOperator:
     def separable(self) -> bool:
         return sum(n > 1 for n in self.kappa2.shape) <= 1
 
+    @cached_property
+    def _coefficients(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per axis, the read-only (c_lo, c_hi, -(c_lo + c_hi))."""
+        out = []
+        for axis in range(self.dim):
+            h = self.grid.spacing[axis]
+            node = self.alpha_nodes[axis]
+            face = self.alpha_faces[axis]
+            c_lo = 1.0 / (node * face[:-1] * h * h)
+            c_hi = 1.0 / (node * face[1:] * h * h)
+            coeffs = (c_lo, c_hi, -(c_lo + c_hi))
+            for arr in coeffs:
+                arr.flags.writeable = False
+            out.append(coeffs)
+        return tuple(out)
+
     def axis_coefficients(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Couplings (c_lo, c_hi) to the previous/next node along `axis`."""
-        h = self.grid.spacing[axis]
-        node = self.alpha_nodes[axis]
-        face = self.alpha_faces[axis]
-        c_lo = 1.0 / (node * face[:-1] * h * h)
-        c_hi = 1.0 / (node * face[1:] * h * h)
-        return c_lo, c_hi
+        return self._coefficients[axis][:2]
 
     def tridiag_dense(self, axis: int) -> np.ndarray:
         """The per-axis tridiagonal T_axis (without the kappa^2 diagonal)."""
-        c_lo, c_hi = self.axis_coefficients(axis)
+        c_lo, c_hi, diag = self._coefficients[axis]
         m = c_lo.size
         T = np.zeros((m, m), dtype=np.complex128)
         idx = np.arange(m)
-        T[idx, idx] = -(c_lo + c_hi)
+        T[idx, idx] = diag
         T[idx[1:], idx[1:] - 1] = c_lo[1:]
         T[idx[:-1], idx[:-1] + 1] = c_hi[:-1]
         return T
 
     def _tridiag_sparse(self, axis: int) -> sp.spmatrix:
-        c_lo, c_hi = self.axis_coefficients(axis)
-        return sp.diags(
-            [c_lo[1:], -(c_lo + c_hi), c_hi[:-1]], [-1, 0, 1], format="csr"
-        )
+        c_lo, c_hi, diag = self._coefficients[axis]
+        return sp.diags([c_lo[1:], diag, c_hi[:-1]], [-1, 0, 1], format="csr")
 
     def kappa2_values(self, region: Window | None = None) -> np.ndarray:
         """kappa^2 on the (sub)window, as a read-only broadcast view."""
@@ -135,13 +144,11 @@ class DiscreteOperator:
         local = self.window.local_slices(region)
         out = self.kappa2_values(region) * v
         dim = self.dim
-        for axis in range(dim):
-            c_lo, c_hi = self.axis_coefficients(axis)
-            c_lo = c_lo[local[axis]]
-            c_hi = c_hi[local[axis]]
+        for axis, coeffs in enumerate(self._coefficients):
+            c_lo, c_hi, diag = (c[local[axis]] for c in coeffs)
             shape = [1] * dim
             shape[axis] = -1
-            out += (-(c_lo + c_hi)).reshape(shape) * v
+            out += diag.reshape(shape) * v
             up = [slice(None)] * dim
             down = [slice(None)] * dim
             up[axis] = slice(1, None)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diagsweep.ddm import build_operators
 from diagsweep.errors import ConfigurationError
@@ -75,6 +76,21 @@ def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
     assert res < 1e-10
 
 
+@pytest.mark.parametrize("dim, n", ((2, 21), (3, 13)))
+def test_splu_factors_a_zero_interior_diagonal(dim, n):
+    """kappa^2 h^2 = 2 dim cancels the Laplacian's diagonal off the PML, so
+    the factorization must pivot off the diagonal there."""
+    h = 1.0 / (n - 1)
+    op = _op(dim, n, kappa=np.sqrt(2 * dim) / h)
+    diag = np.abs(op.to_sparse().diagonal())
+    assert np.sum(diag < 1e-12 * diag.max()) >= 3**dim
+    rng = np.random.default_rng(4)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u = factorize(op, "splu").solve(rhs)
+    res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
+    assert res < 1e-10
+
+
 def test_auto_selects_backend():
     sep = factorize(_op(), "auto")
     assert sep.backend == "separable"
@@ -137,3 +153,15 @@ def test_cache_shares_structurally_identical_subdomains(counts, model, count):
     for op in _partition_operators(counts, model).values():
         cache.get(op)
     assert cache.count == count
+
+
+def test_splu_fill_below_colamd():
+    """The symmetric-mode ordering keeps raster subdomain fill well below a
+    COLAMD column ordering of the same matrices."""
+    ops = _partition_operators((4, 4), RASTER).values()
+    fill = sum(factorize(op, "splu").factor_nnz for op in ops)
+    reference = 0
+    for op in ops:
+        lu = spla.splu(op.to_sparse().tocsc(), permc_spec="COLAMD")
+        reference += lu.L.nnz + lu.U.nnz
+    assert fill <= 0.75 * reference
