@@ -11,10 +11,12 @@ Commands:
 Every run reads an INI config (see `config`), applies DIAGSWEEP_* environment
 overrides and --set flags, and writes its artifacts under --out.  All tables
 carry the resolved config hash in a header comment.  With one BLAS thread
-the artifacts are bit-for-bit reproducible for a fixed config and seed;
---threads caps BLAS threads through threadpoolctl, and without it only sets
-the OMP_*/OPENBLAS_*/MKL_* variables after numpy has loaded BLAS, where they
-have no effect, so set them before launch.
+the artifacts are bit-for-bit reproducible for a fixed config and seed.
+--threads caps BLAS threads through threadpoolctl when it is installed, and
+otherwise calls openblas_set_num_threads in every OpenBLAS library loaded in
+the process (numpy and scipy wheels each bundle one); `solve` writes the
+count in effect to solve_report.json as blas_threads, or null when no
+OpenBLAS answers (another BLAS then keeps its own setting).
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O failure.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 import time
@@ -72,7 +75,9 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
             f, partition, operators, cache, record_events=record_events
         )
         info.update(solves=ddm_report.solves, nonzero_solves=ddm_report.nonzero_solves,
-                    discarded_sources=ddm_report.discarded_sources)
+                    discarded_sources=ddm_report.discarded_sources,
+                    solve_s=ddm_report.solve_s, transfer_s=ddm_report.transfer_s,
+                    blend_s=ddm_report.blend_s)
     elif mode == "gmres-ddm":
         def apply_m(v):
             du, _ = diagonal_sweep_solve(
@@ -114,6 +119,7 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
     u, info, ddm_report, krylov_report = _solve_once(
         cfg, f, partition, operators, gop, record_events
     )
+    info["blas_threads"] = _blas_threads()
     if cfg.getbool("output", "field_dump"):
         dump_field(u, out / "field.f64le")
     if cfg.getbool("output", "quicklook"):
@@ -298,16 +304,48 @@ _COMMANDS = {
 }
 
 
+def _openblas(name: str) -> list:
+    """The OpenBLAS function `name` (e.g. "set_num_threads") of every
+    OpenBLAS library loaded in this process, found through /proc/self/maps.
+    Wheels prefix and suffix the exported symbols."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return []
+    found = []
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in (f"{prefix}openblas_{name}{suffix}"
+                       for prefix in ("", "scipy_") for suffix in ("", "64_")):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                found.append(fn)
+                break
+    return found
+
+
 def _set_threads(n: int) -> None:
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+        for fn in _openblas("set_num_threads"):
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(n)
         return
     threadpool_limits(limits=n)
+
+
+def _blas_threads() -> int | None:
+    """Most BLAS threads any loaded OpenBLAS may use, or None if none answers."""
+    counts = []
+    for fn in _openblas("get_num_threads"):
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts.append(fn())
+    return max(counts, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="BLAS thread cap; needs threadpoolctl, otherwise set "
-        "OMP_NUM_THREADS and OPENBLAS_NUM_THREADS before launch",
+        help="BLAS thread cap, set through threadpoolctl or else in every "
+        "loaded OpenBLAS; other BLAS libraries keep their own setting",
     )
     parser.add_argument(
         "--set",

@@ -5,15 +5,19 @@ Two backends are provided behind one interface:
 * separable: for constant or depth-layered media the discrete operator is an
   exact Kronecker sum of per-axis tridiagonals, so a Schur (unitary
   triangularization) factorization of the small 1D matrices gives a fast
-  direct solver.  2D solves reduce to one triangular Sylvester equation
-  (LAPACK ztrsyl).  3D solves triangularize all three axes and peel the
-  middle one slab by slab, each slab again a ztrsyl solve in the first and
-  last axes; the peeled axis leads in memory, so each slab is the
-  Fortran-ordered block ztrsyl reads.  kappa^2 varies along at most one
-  axis and folds into that axis's factor (the last one when kappa^2 is
-  constant); the last-axis factor is transposed.  Every axis transform is a
-  GEMM.  All transforms are unitary and all solves triangular, so the method
-  is backward stable.
+  direct solver.  2D solves reduce to one triangular Sylvester equation,
+  solved recursively (RECSY, Jonsson & Kagstrom 2002): the longer side is
+  halved, one half solved, the other updated by one GEMM, down to LAPACK
+  ztrsyl leaves of at most 64 a side.  If a leaf rescales against overflow,
+  the whole equation is solved by one ztrsyl call instead.  3D solves
+  triangularize all three axes and peel the middle one slab by slab, each
+  slab again a triangular Sylvester solve in the first and last axes (one
+  leaf when both are at most 64); the peeled axis leads in memory, so each
+  slab is the Fortran-ordered block ztrsyl reads.  kappa^2 varies along at
+  most one axis and folds into that axis's factor (the last one when
+  kappa^2 is constant); the last-axis factor is transposed.  Every axis
+  transform is a GEMM.  All transforms are unitary and all solves
+  triangular, so the method is backward stable.
 
 * splu: general sparse LU (SuperLU) on the full window matrix, used whenever
   kappa^2 varies along more than one axis (raster media).  The stencil is
@@ -44,14 +48,48 @@ from .errors import ConfigurationError, SolverError
 from .pml import DiscreteOperator
 
 _trsyl = get_lapack_funcs(("trsyl",), (np.zeros((1, 1), np.complex128),))[0]
+# largest side of a ztrsyl leaf in the recursive Sylvester solve
+_BLOCK = 64
 
 
-def _sylvester(A, B, C):
-    """Solve A X + X B = C with A, B upper triangular."""
+def _leaf(A, B, C):
+    """One checked ztrsyl call: (Y, scale) with A Y + Y B = scale * C."""
     Y, scale, info = _trsyl(A, B, C)
     if info < 0:
         raise SolverError(f"trsyl failed with info={info}")
+    return Y, scale
+
+
+def _sylvester(A, B, C):
+    """Solve A X + X B = C with A, B upper triangular.
+
+    Sides longer than `_BLOCK` are split recursively (RECSY), so most of the
+    work is GEMM.  If a leaf rescales against overflow, the whole equation
+    is solved in one ztrsyl call instead.
+    """
+    if max(C.shape) > _BLOCK:
+        X = np.empty(C.shape, dtype=np.complex128)
+        if _recurse(A, B, C, X):
+            return X
+    Y, scale = _leaf(A, B, C)
     return Y / scale
+
+
+def _recurse(A, B, C, X):
+    """Fill X block by block; False as soon as a leaf reports a rescale."""
+    m, n = C.shape
+    if max(m, n) <= _BLOCK:
+        X[...], scale = _leaf(A, B, C)
+        return scale == 1.0
+    if m >= n:  # split rows: the trailing block does not see the leading one
+        k = m // 2
+        return _recurse(A[k:, k:], B, C[k:], X[k:]) and _recurse(
+            A[:k, :k], B, C[:k] - A[:k, k:] @ X[k:], X[:k]
+        )
+    k = n // 2  # split columns: the leading block does not see the trailing one
+    return _recurse(A, B[:k, :k], C[:, :k], X[:, :k]) and _recurse(
+        A, B[k:, k:], C[:, k:] - X[:, :k] @ B[:k, k:], X[:, k:]
+    )
 
 
 class SeparableFactorization:

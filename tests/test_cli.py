@@ -111,10 +111,24 @@ def test_ddm_counters_in_solve_report(small_ini, tmp_path):
     assert info["factor_bytes"] > 0
     assert info["solves"] >= info["nonzero_solves"] > 0
     assert "discarded_sources" in info
+    layers = [info[key] for key in ("solve_s", "transfer_s", "blend_s")]
+    assert min(layers) >= 0 and info["solve_s"] > 0
+    assert sum(layers) <= info["wall_time"]
     out = tmp_path / "gmres"
     assert _run(["solve", "--config", small_ini, "--out", out]) == 0
     info = json.loads((out / "solve_report.json").read_text())
     assert info["precond_s"] > 0 and info["factorizations"] == 4
+
+
+def test_threads_reach_blas(small_ini, tmp_path):
+    """--threads sets the thread count of the loaded OpenBLAS; the report
+    says what is in effect (null only when no OpenBLAS is loaded)."""
+    for threads in (2, 1):
+        out = tmp_path / str(threads)
+        assert _run(["solve", "--config", small_ini, "--out", out,
+                     "--threads", threads, "--set", "solver.mode=global-direct"]) == 0
+        info = json.loads((out / "solve_report.json").read_text())
+        assert info["blas_threads"] in (threads, None)
 
 
 def test_exit_codes(small_ini, tmp_path):

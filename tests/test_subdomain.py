@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from diagsweep import subdomain
 from diagsweep.ddm import build_operators
-from diagsweep.errors import ConfigurationError
+from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import RasterModel, constant_model, layered_model
 from diagsweep.partition import make_partition
@@ -74,6 +75,93 @@ def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
     assert u.shape == NONCUBIC
     res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
+
+
+# 2D windows longer than the Sylvester leaf on both sides, so the separable
+# solve goes through the recursive blocking along rows and columns
+WIDE_2D = (150, 137)
+
+
+@pytest.mark.parametrize("model", (None, layered_model((0.5,), (1.0, 2.0))),
+                         ids=("const", "layered"))
+def test_separable_above_the_sylvester_block(model):
+    op = _op(2, WIDE_2D, model=model)
+    assert min(op.window.shape) > subdomain._BLOCK
+    rng = np.random.default_rng(7)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u_sep = factorize(op, "separable").solve(rhs)
+    u_lu = factorize(op, "splu").solve(rhs)
+    assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
+    res = np.linalg.norm(op.apply(u_sep) - rhs) / np.linalg.norm(rhs)
+    assert res < 1e-10
+
+
+def _sylvester_problem(m, n, seed=0):
+    """Seeded complex upper-triangular A (m x m), B (n x n) and C (m x n).
+    Diagonals have real part in [1, 2] and off-diagonals are O(1/side), so
+    the equation is well conditioned."""
+    rng = np.random.default_rng([seed, m, n])
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def triangular(k):
+        T = np.triu(complex_normal(k, k)) / k
+        T[np.diag_indices(k)] = rng.uniform(1, 2, k) + 1j * rng.normal(size=k)
+        return T
+
+    return triangular(m), triangular(n), complex_normal(m, n)
+
+
+def _one_call(A, B, C):
+    Y, scale, info = subdomain._trsyl(A, B, C)
+    assert info == 0
+    return Y / scale
+
+
+SYLVESTER_SHAPES = ((1, 1), (64, 64), (65, 64), (64, 65), (136, 141), (141, 136),
+                    (3, 200))
+
+
+@pytest.mark.parametrize("m, n", SYLVESTER_SHAPES)
+def test_sylvester_matches_one_trsyl_call(m, n):
+    A, B, C = _sylvester_problem(m, n)
+    X = subdomain._sylvester(A, B, C)
+    ref = _one_call(A, B, C)
+    assert np.linalg.norm(X - ref) / np.linalg.norm(ref) <= 1e-13
+    assert np.linalg.norm(A @ X + X @ B - C) / np.linalg.norm(C) <= 1e-13
+    if max(m, n) <= subdomain._BLOCK:
+        # one leaf is the whole solve, so 3D slabs this size are unchanged
+        assert np.array_equal(X, ref)
+
+
+def test_sylvester_falls_back_to_one_call_when_a_leaf_rescales(monkeypatch):
+    """ztrsyl returns scale < 1 to avoid overflow; the blocks of a recursive
+    solve would then be on different scales, so the whole equation is solved
+    in one call instead."""
+    A, B, C = _sylvester_problem(136, 141)
+    trsyl = subdomain._trsyl
+    shapes = []
+
+    def rescaling_leaves(A, B, C):
+        shapes.append(C.shape)
+        Y, scale, info = trsyl(A, B, C)
+        if C.shape != (136, 141):
+            return 0.5 * Y, 0.5, info
+        return Y, scale, info
+
+    monkeypatch.setattr(subdomain, "_trsyl", rescaling_leaves)
+    X = subdomain._sylvester(A, B, C)
+    assert shapes[0] != (136, 141) and shapes[-1] == (136, 141)
+    monkeypatch.undo()
+    assert np.array_equal(X, _one_call(A, B, C))
+
+
+@pytest.mark.parametrize("m, n", ((3, 3), (136, 141)))
+def test_sylvester_raises_on_trsyl_error(monkeypatch, m, n):
+    monkeypatch.setattr(subdomain, "_trsyl", lambda A, B, C: (C, 1.0, -1))
+    with pytest.raises(SolverError, match="info=-1"):
+        subdomain._sylvester(*_sylvester_problem(m, n))
 
 
 @pytest.mark.parametrize("dim, n", ((2, 21), (3, 13)))
