@@ -47,6 +47,8 @@ from .subdomain import FactorizationCache, factorize
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
+# per-layer seconds of a DDM application, summed over all of them in a solve
+_LAYER_SECONDS = ("solve_s", "transfer_s", "blend_s")
 
 
 def _build_problem(cfg: RunConfig, counts=None, partition_counts=None, source=None):
@@ -75,14 +77,17 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
             f, partition, operators, cache, record_events=record_events
         )
         info.update(solves=ddm_report.solves, nonzero_solves=ddm_report.nonzero_solves,
-                    discarded_sources=ddm_report.discarded_sources,
-                    solve_s=ddm_report.solve_s, transfer_s=ddm_report.transfer_s,
-                    blend_s=ddm_report.blend_s)
+                    discarded_sources=ddm_report.discarded_sources)
+        info.update((key, getattr(ddm_report, key)) for key in _LAYER_SECONDS)
     elif mode == "gmres-ddm":
+        info.update(dict.fromkeys(_LAYER_SECONDS, 0.0))
+
         def apply_m(v):
-            du, _ = diagonal_sweep_solve(
+            du, report = diagonal_sweep_solve(
                 v, partition, operators, cache, warn_collar=False
             )
+            for key in _LAYER_SECONDS:
+                info[key] += getattr(report, key)
             return du.values
 
         values, krylov_report = gmres(

@@ -5,19 +5,23 @@ Two backends are provided behind one interface:
 * separable: for constant or depth-layered media the discrete operator is an
   exact Kronecker sum of per-axis tridiagonals, so a Schur (unitary
   triangularization) factorization of the small 1D matrices gives a fast
-  direct solver.  2D solves reduce to one triangular Sylvester equation,
-  solved recursively (RECSY, Jonsson & Kagstrom 2002): the longer side is
-  halved, one half solved, the other updated by one GEMM, down to LAPACK
-  ztrsyl leaves of at most 64 a side.  If a leaf rescales against overflow,
-  the whole equation is solved by one ztrsyl call instead.  3D solves
-  triangularize all three axes and peel the middle one slab by slab, each
-  slab again a triangular Sylvester solve in the first and last axes (one
-  leaf when both are at most 64); the peeled axis leads in memory, so each
-  slab is the Fortran-ordered block ztrsyl reads.  kappa^2 varies along at
-  most one axis and folds into that axis's factor (the last one when
-  kappa^2 is constant); the last-axis factor is transposed.  Every axis
-  transform is a GEMM.  All transforms are unitary and all solves
-  triangular, so the method is backward stable.
+  direct solver.  kappa^2 varies along at most one axis and folds into that
+  axis's tridiagonal (the last one when kappa^2 is constant).  2D solves are
+  Hessenberg-Schur (Golub, Nash & Van Loan 1979): only the last axis is
+  triangularized (its transposed tridiagonal), and axis 0 stays tridiagonal,
+  so after one GEMM the solve is a forward sweep over the Schur columns, each
+  one shifted tridiagonal system solved by LAPACK zgtsv (Gaussian elimination
+  with partial pivoting), then one GEMM back.  3D solves triangularize all
+  three axes and peel the middle one slab by slab, each slab a triangular
+  Sylvester equation in the first and last axes, solved recursively (RECSY,
+  Jonsson & Kagstrom 2002): the longer side is halved, one half solved, the
+  other updated by one GEMM, down to LAPACK ztrsyl leaves of at most 64 a
+  side (one leaf when both sides are at most 64); if a leaf rescales against
+  overflow, the whole slab is solved by one ztrsyl call instead.  The peeled
+  axis leads in memory, so each slab is the Fortran-ordered block ztrsyl
+  reads.  Every axis transform is a GEMM.  All transforms are unitary and
+  all solves triangular or partially pivoted tridiagonal, so the method is
+  backward stable.
 
 * splu: general sparse LU (SuperLU) on the full window matrix, used whenever
   kappa^2 varies along more than one axis (raster media).  The stencil is
@@ -47,7 +51,7 @@ from scipy.linalg import get_lapack_funcs, schur
 from .errors import ConfigurationError, SolverError
 from .pml import DiscreteOperator
 
-_trsyl = get_lapack_funcs(("trsyl",), (np.zeros((1, 1), np.complex128),))[0]
+_trsyl, _gtsv = get_lapack_funcs(("trsyl", "gtsv"), (np.zeros((1, 1), np.complex128),))
 # largest side of a ztrsyl leaf in the recursive Sylvester solve
 _BLOCK = 64
 
@@ -109,9 +113,17 @@ class SeparableFactorization:
         axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), dim - 1)
         diag = np.arange(self.shape[axis])
         T[axis][diag, diag] += op.kappa2.ravel()
-        self._R1, self._Q1 = schur(T[0], output="complex")
         self._R2, self._Q2 = schur(T[-1].T, output="complex")
-        if dim == 3:
+        if dim == 2:
+            # axis 0 stays tridiagonal; f2py's gtsv rejects the empty
+            # off-diagonals of a one-node axis
+            if self.shape[0] < 2:
+                raise ConfigurationError("2D separable solve needs 2 nodes on axis 0")
+            self._lower, self._diag, self._upper = (
+                T[0].diagonal(k).copy() for k in (-1, 0, 1)
+            )
+        else:
+            self._R1, self._Q1 = schur(T[0], output="complex")
             self._R3, self._Q3 = schur(T[1], output="complex")
         self._dim = dim
         self.factor_bytes = sum(
@@ -124,10 +136,26 @@ class SeparableFactorization:
                 f"rhs shape {rhs.shape} does not match window {self.shape}"
             )
         if self._dim == 2:
-            C = self._Q1.conj().T @ rhs @ self._Q2
-            Y = _sylvester(self._R1, self._R2, C)
-            return np.ascontiguousarray(self._Q1 @ Y @ self._Q2.conj().T)
+            return self._solve2d(rhs)
         return self._solve3d(rhs)
+
+    def _solve2d(self, rhs: np.ndarray) -> np.ndarray:
+        """Hessenberg-Schur: T0 U + U T1^T = rhs with T1^T = Q2 R2 Q2^H, so
+        Y = U Q2 solves T0 Y + Y R2 = rhs Q2 = C column by column, each the
+        shifted tridiagonal system (T0 + R2[j, j]) y_j = c_j - Y[:, :j] R2[:j, j]."""
+        R2, Q2 = self._R2, self._Q2
+        # Y^T is held C-ordered, so each column y_j is one contiguous row
+        Yt = Q2.T @ rhs.T
+        for j in range(Yt.shape[0]):
+            Yt[j] -= R2[:j, j] @ Yt[:j]
+            *_, y, info = _gtsv(
+                self._lower, self._diag + R2[j, j], self._upper, Yt[j, :, None],
+                overwrite_d=True, overwrite_b=True,
+            )
+            if info != 0:
+                raise SolverError(f"gtsv failed with info={info}")
+            Yt[j] = y[:, 0]
+        return Yt.T @ Q2.conj().T
 
     def _solve3d(self, rhs: np.ndarray) -> np.ndarray:
         Q1, R1 = self._Q1, self._R1

@@ -1,11 +1,14 @@
 """End-to-end runs of the command-line driver."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, fit_decay_rate, main
+from diagsweep.config import load_config
+from diagsweep.ddm import restrict_source
 from diagsweep.errors import SolverError
 from diagsweep.grid import load_field
 
@@ -118,6 +121,28 @@ def test_ddm_counters_in_solve_report(small_ini, tmp_path):
     assert _run(["solve", "--config", small_ini, "--out", out]) == 0
     info = json.loads((out / "solve_report.json").read_text())
     assert info["precond_s"] > 0 and info["factorizations"] == 4
+    # summed over every preconditioner application
+    layers = [info[key] for key in ("solve_s", "transfer_s", "blend_s")]
+    assert min(layers) >= 0 and info["solve_s"] > 0
+    assert sum(layers) <= info["wall_time"]
+
+
+def test_collar_warning_needs_collar_mass(small_ini):
+    """The SMALL Gaussian's tail in the PML collar is far below COLLAR_LEAK,
+    so it does not warn; a source with real mass in the collar does."""
+    cfg = load_config(small_ini)
+    grid = cfg.build_grid()
+    partition = cfg.build_partition(grid)
+    f = cfg.build_source(grid)
+    collar = f.copy()
+    collar[partition.interior.slices()] = 0
+    assert np.any(collar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        restrict_source(f, partition)
+    f[0, 0] = 1e-3 * np.abs(f).max()
+    with pytest.warns(UserWarning, match="leaks into the global PML collar"):
+        restrict_source(f, partition)
 
 
 def test_threads_reach_blas(small_ini, tmp_path):

@@ -1,8 +1,11 @@
 """Direct factorization backends and the fingerprint cache."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import schur
 
 from diagsweep import subdomain
 from diagsweep.ddm import build_operators
@@ -77,16 +80,20 @@ def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
     assert res < 1e-10
 
 
-# 2D windows longer than the Sylvester leaf on both sides, so the separable
-# solve goes through the recursive blocking along rows and columns
+# 2D windows as wide as the 136-141 node subdomains of the benchmark's 4x4
+# sweep, distinct per axis; the 2D separable solve sweeps one shifted
+# tridiagonal system per Schur column (only 3D slabs use the recursive
+# Sylvester solver)
 WIDE_2D = (150, 137)
+MEDIA_2D = pytest.mark.parametrize(
+    "model", (None, layered_model((0.5,), (1.0, 2.0))), ids=("const", "layered")
+)
 
 
-@pytest.mark.parametrize("model", (None, layered_model((0.5,), (1.0, 2.0))),
-                         ids=("const", "layered"))
+@MEDIA_2D
 def test_separable_above_the_sylvester_block(model):
     op = _op(2, WIDE_2D, model=model)
-    assert min(op.window.shape) > subdomain._BLOCK
+    assert op.window.shape == WIDE_2D and min(WIDE_2D) >= 136
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
     u_sep = factorize(op, "separable").solve(rhs)
@@ -94,6 +101,81 @@ def test_separable_above_the_sylvester_block(model):
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
     res = np.linalg.norm(op.apply(u_sep) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
+
+
+def _two_sided_schur_solve(op, rhs):
+    """The 2D solve with both axes triangularized: one triangular Sylvester
+    equation between two Schur factors, kappa^2 folded in the same way."""
+    T = [op.tridiag_dense(a) for a in range(2)]
+    axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), 1)
+    T[axis][np.diag_indices(len(T[axis]))] += op.kappa2.ravel()
+    R1, Q1 = schur(T[0], output="complex")
+    R2, Q2 = schur(T[1].T, output="complex")
+    Y = subdomain._sylvester(R1, R2, Q1.conj().T @ rhs @ Q2)
+    return Q1 @ Y @ Q2.conj().T
+
+
+# Two backward-stable solvers agree only to about cond(A) * eps.  The wide
+# box at kappa 9 (over 100 nodes per wavelength in a 5-node PML) has a
+# 1-norm condition estimate of 4e4, and both kernels differ from splu there
+# by 2-5e-12, the two-sided one more.  At kappa 40 (23 nodes per wavelength,
+# estimate 9e3) they agree with each other to ~3e-13.
+@MEDIA_2D
+@pytest.mark.parametrize("counts, kappa", ((25, 9.0), ((23, 31), 9.0), (WIDE_2D, 40.0)),
+                         ids=("25", "23x31", "150x137"))
+def test_hessenberg_schur_matches_two_sided_schur(model, counts, kappa):
+    op = _op(2, counts, model=model, kappa=kappa)
+    rng = np.random.default_rng(8)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u = factorize(op, "separable").solve(rhs)
+    ref = _two_sided_schur_solve(op, rhs)
+    assert np.linalg.norm(u - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+def test_separable_kappa2_along_the_tridiagonal_axis():
+    """No medium varies kappa^2 along axis 0, but the kernel folds it into
+    that axis's tridiagonal, which stays unfactored; check it against splu."""
+    op = _op(2, (23, 31), model=layered_model((0.5,), (1.0, 2.0)))
+    op = replace(op, kappa2=op.kappa2.reshape(-1)[:23].reshape(23, 1).copy())
+    assert op.separable and op.kappa2.shape == (23, 1)
+    rng = np.random.default_rng(9)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    u_sep = factorize(op, "separable").solve(rhs)
+    u_lu = factorize(op, "splu").solve(rhs)
+    assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
+    assert np.linalg.norm(op.apply(u_sep) - rhs) / np.linalg.norm(rhs) < 1e-10
+
+
+def test_separable_raises_on_singular_shifted_system(monkeypatch):
+    fact = factorize(_op(), "separable")
+    monkeypatch.setattr(subdomain, "_gtsv",
+                        lambda dl, d, du, b, **kw: (dl, d, du, b, 3))
+    with pytest.raises(SolverError, match="info=3"):
+        fact.solve(np.ones(fact.shape, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("axis", (0, 1))
+def test_separable_one_node_wide_window(axis):
+    """A window one node wide has no off-diagonals along that axis.  Along
+    the tridiagonal axis 0 f2py's gtsv would reject them, so the separable
+    backend refuses such a window as a configuration error; along the Schur
+    axis it solves."""
+    op = _op(2, (23, 31))
+    lo, hi = list(op.window.lo), list(op.window.hi)
+    hi[axis] = lo[axis] = 11
+    nodes, faces = list(op.alpha_nodes), list(op.alpha_faces)
+    nodes[axis], faces[axis] = nodes[axis][11:12], faces[axis][11:13]
+    op = replace(op, window=Window(tuple(lo), tuple(hi)),
+                 alpha_nodes=nodes, alpha_faces=faces)
+    rng = np.random.default_rng(10)
+    rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+    if axis == 0:
+        with pytest.raises(ConfigurationError, match="2 nodes on axis 0"):
+            factorize(op, "separable")
+        return
+    u = factorize(op, "separable").solve(rhs)
+    ref = np.linalg.solve(op.to_sparse().toarray(), rhs.ravel()).reshape(rhs.shape)
+    assert np.linalg.norm(u - ref) / np.linalg.norm(ref) < 1e-12
 
 
 def _sylvester_problem(m, n, seed=0):
