@@ -11,7 +11,9 @@ Commands:
 Every run reads an INI config (see `config`), applies DIAGSWEEP_* environment
 overrides and --set flags, and writes its artifacts under --out.  All tables
 carry the resolved config hash in a header comment.  With one BLAS thread
-the artifacts are bit-for-bit reproducible for a fixed config and seed.
+the numerical artifacts (field.f64le, quicklook.pgm, convergence.csv,
+decay_*.csv) are bit-for-bit reproducible for a fixed config and seed; timing
+fields (wall_time, the *_s seconds, cumulative_seconds) vary from run to run.
 --threads caps BLAS threads through threadpoolctl when it is installed, and
 otherwise calls openblas_set_num_threads in every OpenBLAS library loaded in
 the process (numpy and scipy wheels each bundle one); `solve` writes the

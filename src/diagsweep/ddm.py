@@ -293,6 +293,7 @@ def diagonal_sweep_solve(
             for index in groups.get(step, []):
                 arrivals = queues.pop((sweep, index), [])
                 own = sources[index] if sweep == 1 else None
+                solve_before = report.solve_s
                 emitted = _solve_and_emit(
                     partition, operators, cache, index, own, arrivals,
                     directions, combined, report,
@@ -309,7 +310,8 @@ def diagonal_sweep_solve(
                     report.events.append(
                         {"sweep": sweep, "step": step, "subdomain": list(index),
                          "sources_consumed": len(arrivals), "sources_emitted": queued,
-                         "nonzero": emitted is not None}
+                         "nonzero": emitted is not None,
+                         "solve_s": report.solve_s - solve_before}
                     )
         if report.partials is not None:
             report.partials.append(combined.copy())

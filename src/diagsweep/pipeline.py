@@ -88,6 +88,11 @@ def core_rank(index: tuple[int, ...], counts: tuple[int, ...]) -> int:
     return rank
 
 
+def _base_indices(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every base subdomain index (1-based), in core rank order."""
+    return list(itertools.product(*(range(1, n + 1) for n in counts)))
+
+
 def core_assignment(
     counts: tuple[int, ...], directions
 ) -> list[dict[int, tuple[int, ...]]]:
@@ -97,11 +102,7 @@ def core_assignment(
     sweep direction flips, so each core's anti-diagonal step is the same in
     every sweep.
     """
-    dim = len(counts)
-    ranges = [range(1, n + 1) for n in counts]
-    bases = [()]
-    for r in ranges:
-        bases = [b + (i,) for b in bases for i in r]
+    bases = _base_indices(counts)
     out = []
     for direction in directions:
         sweep_map = {}
@@ -162,15 +163,11 @@ def simulate_pipeline(spec: PipelineSpec) -> Schedule:
         elif m + 1 < n_inst:
             heapq.heappush(heap, (max(end + tc, core_time[0]), next(seq), q, m + 1, 0))
     util_by_pos = [b / makespan for b in busy]
-    utilization = []
-    ranges = [range(1, n + 1) for n in spec.counts]
-    bases = [()]
-    for r in ranges:
-        bases = [b + (i,) for b in bases for i in r]
     direction = (1,) * spec.dim
-    for base in sorted(bases, key=lambda b: core_rank(b, spec.counts)):
-        pos = sweep_step_of(base, direction, spec.counts) - 1
-        utilization.append(util_by_pos[pos])
+    utilization = [
+        util_by_pos[sweep_step_of(base, direction, spec.counts) - 1]
+        for base in _base_indices(spec.counts)
+    ]
     return Schedule(
         makespan=makespan,
         avg_per_rhs=makespan / spec.n_rhs,

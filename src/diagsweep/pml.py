@@ -78,7 +78,6 @@ class DiscreteOperator:
 
     grid: Grid
     window: Window
-    box: Window  # PML-free box, node indices
     alpha_nodes: list[np.ndarray]
     alpha_faces: list[np.ndarray]  # length m+1 per axis, face i at x_i - h/2
     kappa2: np.ndarray  # broadcasts to the window shape, length 1 where constant
@@ -251,4 +250,4 @@ def assemble_operator(
         alpha_nodes.append(1.0 + 1j * sig_n)
         alpha_faces.append(1.0 + 1j * sig_f)
     kappa2 = _kappa2(grid, window, velocity, omega, clamp_box)
-    return DiscreteOperator(grid, window, box, alpha_nodes, alpha_faces, kappa2)
+    return DiscreteOperator(grid, window, alpha_nodes, alpha_faces, kappa2)

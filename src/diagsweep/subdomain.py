@@ -13,11 +13,8 @@ Two backends are provided behind one interface:
   one shifted tridiagonal system solved by LAPACK zgtsv (Gaussian elimination
   with partial pivoting), then one GEMM back.  3D solves triangularize all
   three axes and peel the middle one slab by slab, each slab a triangular
-  Sylvester equation in the first and last axes, solved recursively (RECSY,
-  Jonsson & Kagstrom 2002): the longer side is halved, one half solved, the
-  other updated by one GEMM, down to LAPACK ztrsyl leaves of at most 64 a
-  side (one leaf when both sides are at most 64); if a leaf rescales against
-  overflow, the whole slab is solved by one ztrsyl call instead.  The peeled
+  Sylvester equation in the first and last axes, solved by one LAPACK ztrsyl
+  call (divided by the scale ztrsyl returns against overflow).  The peeled
   axis leads in memory, so each slab is the Fortran-ordered block ztrsyl
   reads.  Every axis transform is a GEMM.  All transforms are unitary and
   all solves triangular or partially pivoted tridiagonal, so the method is
@@ -52,48 +49,6 @@ from .errors import ConfigurationError, SolverError
 from .pml import DiscreteOperator
 
 _trsyl, _gtsv = get_lapack_funcs(("trsyl", "gtsv"), (np.zeros((1, 1), np.complex128),))
-# largest side of a ztrsyl leaf in the recursive Sylvester solve
-_BLOCK = 64
-
-
-def _leaf(A, B, C):
-    """One checked ztrsyl call: (Y, scale) with A Y + Y B = scale * C."""
-    Y, scale, info = _trsyl(A, B, C)
-    if info < 0:
-        raise SolverError(f"trsyl failed with info={info}")
-    return Y, scale
-
-
-def _sylvester(A, B, C):
-    """Solve A X + X B = C with A, B upper triangular.
-
-    Sides longer than `_BLOCK` are split recursively (RECSY), so most of the
-    work is GEMM.  If a leaf rescales against overflow, the whole equation
-    is solved in one ztrsyl call instead.
-    """
-    if max(C.shape) > _BLOCK:
-        X = np.empty(C.shape, dtype=np.complex128)
-        if _recurse(A, B, C, X):
-            return X
-    Y, scale = _leaf(A, B, C)
-    return Y / scale
-
-
-def _recurse(A, B, C, X):
-    """Fill X block by block; False as soon as a leaf reports a rescale."""
-    m, n = C.shape
-    if max(m, n) <= _BLOCK:
-        X[...], scale = _leaf(A, B, C)
-        return scale == 1.0
-    if m >= n:  # split rows: the trailing block does not see the leading one
-        k = m // 2
-        return _recurse(A[k:, k:], B, C[k:], X[k:]) and _recurse(
-            A[:k, :k], B, C[:k] - A[:k, k:] @ X[k:], X[:k]
-        )
-    k = n // 2  # split columns: the leading block does not see the trailing one
-    return _recurse(A, B[:k, :k], C[:, :k], X[:, :k]) and _recurse(
-        A, B[k:, k:], C[:, k:] - X[:, :k] @ B[:k, k:], X[:, k:]
-    )
 
 
 class SeparableFactorization:
@@ -177,7 +132,10 @@ class SeparableFactorization:
             rhs_s = C[s]
             if s < m - 1:
                 rhs_s = rhs_s - (R3[s, s + 1 :] @ flat[s + 1 :]).reshape(n3, n1)
-            Y[s] = _sylvester(R1 + R3[s, s] * eye, R2, rhs_s.T).T
+            Ys, scale, info = _trsyl(R1 + R3[s, s] * eye, R2, rhs_s.T)
+            if info < 0:
+                raise SolverError(f"trsyl failed with info={info}")
+            Y[s] = (Ys / scale).T
         out = np.matmul(Q2.conj(), (Q3 @ flat).reshape(m, n3, n1))
         return (Q1 @ out.reshape(m * n3, n1).T).reshape(self.shape)
 
@@ -216,14 +174,9 @@ class SparseLuFactorization:
 Factorization = SeparableFactorization | SparseLuFactorization
 
 
-def factorize(op: DiscreteOperator, method: str = "auto") -> Factorization:
-    if method == "auto":
-        method = "separable" if op.separable else "splu"
-    if method == "separable":
-        return SeparableFactorization(op)
-    if method == "splu":
-        return SparseLuFactorization(op)
-    raise ConfigurationError(f"unknown factorization method {method!r}")
+def factorize(op: DiscreteOperator) -> Factorization:
+    """Separable backend when kappa^2 varies along at most one axis, else SuperLU."""
+    return SeparableFactorization(op) if op.separable else SparseLuFactorization(op)
 
 
 @dataclass

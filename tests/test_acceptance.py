@@ -27,7 +27,7 @@ from diagsweep.media import constant_model, gaussian_source
 from diagsweep.partition import make_partition
 from diagsweep.pipeline import PipelineSpec, average_time_diagonal, average_time_recursive, simulate_pipeline
 from diagsweep.pml import PmlProfile, assemble_operator, tuned_sigma_max
-from diagsweep.subdomain import FactorizationCache, factorize
+from diagsweep.subdomain import FactorizationCache, SeparableFactorization, factorize
 from diagsweep.transfer import rule_allows
 
 DATA = Path(__file__).parent / "data"
@@ -191,7 +191,7 @@ def test_criterion_4_discrete_exactness(capsys):
     f = _compact_source(grid, part, (2, 2, 2), kappa)
     cache = FactorizationCache()
     u, _ = diagonal_sweep_solve(f, part, ops, cache)
-    u_ref = factorize(gop, "separable").solve(f)
+    u_ref = SeparableFactorization(gop).solve(f)
     sl = tuple(slice(pml, -pml) for _ in range(3))
     rel3 = np.linalg.norm(u.values[sl] - u_ref[sl]) / np.linalg.norm(u_ref[sl])
     ua, _ = additive_ddm_solve(f, part, ops, cache)

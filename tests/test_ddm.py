@@ -24,7 +24,11 @@ from diagsweep.grid import make_grid
 from diagsweep.media import constant_model, gaussian_source
 from diagsweep.partition import make_partition
 from diagsweep.pml import PmlProfile, tuned_sigma_max
-from diagsweep.subdomain import FactorizationCache, factorize
+from diagsweep.subdomain import (
+    FactorizationCache,
+    SeparableFactorization,
+    SparseLuFactorization,
+)
 
 
 def _setup_2d():
@@ -111,7 +115,7 @@ def test_restrict_source_tiles_grid(prob2d):
 def test_exact_for_constant_media(prob2d):
     grid, part, ops, gop, kappa = prob2d
     f = _compact_source(grid, part, (2, 2), kappa)
-    u_ref = factorize(gop, "splu").solve(f)
+    u_ref = SparseLuFactorization(gop).solve(f)
     u, report = diagonal_sweep_solve(f, part, ops, FactorizationCache())
     rel = np.linalg.norm(u.values - u_ref) / np.linalg.norm(u_ref)
     assert rel < 1e-3
@@ -167,7 +171,7 @@ def test_additive_matches_diagonal(prob2d, dim, nonzero_solves):
 def test_octant_partials_converge_by_sweep(prob2d):
     grid, part, ops, gop, kappa = prob2d
     f = _compact_source(grid, part, (2, 2), kappa)
-    u_ref = factorize(gop, "splu").solve(f)
+    u_ref = SparseLuFactorization(gop).solve(f)
     _, report = diagonal_sweep_solve(
         f, part, ops, FactorizationCache(), collect_partials=True
     )
@@ -229,7 +233,7 @@ def test_3d_plans_agree():
     ops = build_operators(part, profile, constant_model(1.0), kappa)
     gop = build_global_operator(part, profile, constant_model(1.0), kappa)
     f = _compact_source(grid, part, (1, 1, 1), kappa)
-    u_ref = factorize(gop, "separable").solve(f)
+    u_ref = SeparableFactorization(gop).solve(f)
     cache = FactorizationCache()
     results = []
     for plan in (SweepPlan.default(3), SweepPlan.alternate_3d()):
@@ -255,3 +259,9 @@ def test_event_log_roundtrip(tmp_path, prob2d):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == report.solves
     assert {tuple(e["subdomain"]) for e in lines} == set(part.subdomains())
+    # per-solve seconds: zero for an unsolved zero right-hand side, and they
+    # add up to the report's total
+    assert all(e["solve_s"] >= 0 for e in lines)
+    assert all(e["solve_s"] == 0.0 for e in lines if not e["nonzero"])
+    assert any(e["solve_s"] > 0 for e in lines)
+    assert math.isclose(sum(e["solve_s"] for e in lines), report.solve_s, rel_tol=1e-9)

@@ -14,7 +14,12 @@ from diagsweep.grid import Window, make_grid
 from diagsweep.media import RasterModel, constant_model, layered_model
 from diagsweep.partition import make_partition
 from diagsweep.pml import PmlProfile, assemble_operator
-from diagsweep.subdomain import FactorizationCache, factorize
+from diagsweep.subdomain import (
+    FactorizationCache,
+    SeparableFactorization,
+    SparseLuFactorization,
+    factorize,
+)
 
 
 def _op(dim=2, n=25, model=None, kappa=9.0):
@@ -28,12 +33,13 @@ def _op(dim=2, n=25, model=None, kappa=9.0):
 
 
 @pytest.mark.parametrize("dim", (2, 3))
-@pytest.mark.parametrize("method", ("separable", "splu"))
-def test_round_trip_residual(dim, method):
+@pytest.mark.parametrize("backend", (SeparableFactorization, SparseLuFactorization),
+                         ids=("separable", "splu"))
+def test_round_trip_residual(dim, backend):
     op = _op(dim, 25 if dim == 2 else 21)
     rng = np.random.default_rng(0)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u = factorize(op, method).solve(rhs)
+    u = backend(op).solve(rhs)
     res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
 
@@ -43,8 +49,8 @@ def test_backends_agree(dim):
     op = _op(dim, 23 if dim == 2 else 17, model=layered_model((0.5,), (1.0, 2.0)))
     rng = np.random.default_rng(1)
     rhs = rng.normal(size=op.window.shape) + 0j
-    u_sep = factorize(op, "separable").solve(rhs)
-    u_lu = factorize(op, "splu").solve(rhs)
+    u_sep = SeparableFactorization(op).solve(rhs)
+    u_lu = SparseLuFactorization(op).solve(rhs)
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
 
 
@@ -64,8 +70,8 @@ def test_backends_agree_noncubic_3d(model, kappa2_shape):
     assert op.window.shape == NONCUBIC and op.kappa2.shape == kappa2_shape
     rng = np.random.default_rng(2)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u_sep = factorize(op, "separable").solve(rhs)
-    u_lu = factorize(op, "splu").solve(rhs)
+    u_sep = SeparableFactorization(op).solve(rhs)
+    u_lu = SparseLuFactorization(op).solve(rhs)
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
 
 
@@ -74,7 +80,7 @@ def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
     op = _op(3, NONCUBIC, model=model)
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u = factorize(op, "separable").solve(rhs)
+    u = SeparableFactorization(op).solve(rhs)
     assert u.shape == NONCUBIC
     res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
@@ -82,8 +88,7 @@ def test_round_trip_residual_noncubic_3d(model, kappa2_shape):
 
 # 2D windows as wide as the 136-141 node subdomains of the benchmark's 4x4
 # sweep, distinct per axis; the 2D separable solve sweeps one shifted
-# tridiagonal system per Schur column (only 3D slabs use the recursive
-# Sylvester solver)
+# tridiagonal system per Schur column
 WIDE_2D = (150, 137)
 MEDIA_2D = pytest.mark.parametrize(
     "model", (None, layered_model((0.5,), (1.0, 2.0))), ids=("const", "layered")
@@ -91,16 +96,22 @@ MEDIA_2D = pytest.mark.parametrize(
 
 
 @MEDIA_2D
-def test_separable_above_the_sylvester_block(model):
+def test_separable_wide_2d_window(model):
     op = _op(2, WIDE_2D, model=model)
     assert op.window.shape == WIDE_2D and min(WIDE_2D) >= 136
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u_sep = factorize(op, "separable").solve(rhs)
-    u_lu = factorize(op, "splu").solve(rhs)
+    u_sep = SeparableFactorization(op).solve(rhs)
+    u_lu = SparseLuFactorization(op).solve(rhs)
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
     res = np.linalg.norm(op.apply(u_sep) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
+
+
+def _one_call(A, B, C):
+    Y, scale, info = subdomain._trsyl(A, B, C)
+    assert info == 0
+    return Y / scale
 
 
 def _two_sided_schur_solve(op, rhs):
@@ -111,7 +122,7 @@ def _two_sided_schur_solve(op, rhs):
     T[axis][np.diag_indices(len(T[axis]))] += op.kappa2.ravel()
     R1, Q1 = schur(T[0], output="complex")
     R2, Q2 = schur(T[1].T, output="complex")
-    Y = subdomain._sylvester(R1, R2, Q1.conj().T @ rhs @ Q2)
+    Y = _one_call(R1, R2, Q1.conj().T @ rhs @ Q2)
     return Q1 @ Y @ Q2.conj().T
 
 
@@ -127,7 +138,7 @@ def test_hessenberg_schur_matches_two_sided_schur(model, counts, kappa):
     op = _op(2, counts, model=model, kappa=kappa)
     rng = np.random.default_rng(8)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u = factorize(op, "separable").solve(rhs)
+    u = SeparableFactorization(op).solve(rhs)
     ref = _two_sided_schur_solve(op, rhs)
     assert np.linalg.norm(u - ref) / np.linalg.norm(ref) <= 1e-12
 
@@ -140,14 +151,14 @@ def test_separable_kappa2_along_the_tridiagonal_axis():
     assert op.separable and op.kappa2.shape == (23, 1)
     rng = np.random.default_rng(9)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u_sep = factorize(op, "separable").solve(rhs)
-    u_lu = factorize(op, "splu").solve(rhs)
+    u_sep = SeparableFactorization(op).solve(rhs)
+    u_lu = SparseLuFactorization(op).solve(rhs)
     assert np.linalg.norm(u_sep - u_lu) / np.linalg.norm(u_lu) < 1e-9
     assert np.linalg.norm(op.apply(u_sep) - rhs) / np.linalg.norm(rhs) < 1e-10
 
 
 def test_separable_raises_on_singular_shifted_system(monkeypatch):
-    fact = factorize(_op(), "separable")
+    fact = SeparableFactorization(_op())
     monkeypatch.setattr(subdomain, "_gtsv",
                         lambda dl, d, du, b, **kw: (dl, d, du, b, 3))
     with pytest.raises(SolverError, match="info=3"):
@@ -171,79 +182,36 @@ def test_separable_one_node_wide_window(axis):
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
     if axis == 0:
         with pytest.raises(ConfigurationError, match="2 nodes on axis 0"):
-            factorize(op, "separable")
+            SeparableFactorization(op)
         return
-    u = factorize(op, "separable").solve(rhs)
+    u = SeparableFactorization(op).solve(rhs)
     ref = np.linalg.solve(op.to_sparse().toarray(), rhs.ravel()).reshape(rhs.shape)
     assert np.linalg.norm(u - ref) / np.linalg.norm(ref) < 1e-12
 
 
-def _sylvester_problem(m, n, seed=0):
-    """Seeded complex upper-triangular A (m x m), B (n x n) and C (m x n).
-    Diagonals have real part in [1, 2] and off-diagonals are O(1/side), so
-    the equation is well conditioned."""
-    rng = np.random.default_rng([seed, m, n])
-
-    def complex_normal(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    def triangular(k):
-        T = np.triu(complex_normal(k, k)) / k
-        T[np.diag_indices(k)] = rng.uniform(1, 2, k) + 1j * rng.normal(size=k)
-        return T
-
-    return triangular(m), triangular(n), complex_normal(m, n)
-
-
-def _one_call(A, B, C):
-    Y, scale, info = subdomain._trsyl(A, B, C)
-    assert info == 0
-    return Y / scale
-
-
-SYLVESTER_SHAPES = ((1, 1), (64, 64), (65, 64), (64, 65), (136, 141), (141, 136),
-                    (3, 200))
-
-
-@pytest.mark.parametrize("m, n", SYLVESTER_SHAPES)
-def test_sylvester_matches_one_trsyl_call(m, n):
-    A, B, C = _sylvester_problem(m, n)
-    X = subdomain._sylvester(A, B, C)
-    ref = _one_call(A, B, C)
-    assert np.linalg.norm(X - ref) / np.linalg.norm(ref) <= 1e-13
-    assert np.linalg.norm(A @ X + X @ B - C) / np.linalg.norm(C) <= 1e-13
-    if max(m, n) <= subdomain._BLOCK:
-        # one leaf is the whole solve, so 3D slabs this size are unchanged
-        assert np.array_equal(X, ref)
-
-
-def test_sylvester_falls_back_to_one_call_when_a_leaf_rescales(monkeypatch):
-    """ztrsyl returns scale < 1 to avoid overflow; the blocks of a recursive
-    solve would then be on different scales, so the whole equation is solved
-    in one call instead."""
-    A, B, C = _sylvester_problem(136, 141)
+def test_separable_3d_divides_by_the_trsyl_scale(monkeypatch):
+    """ztrsyl returns scale < 1 to avoid overflow; a slab solved on that
+    scale must be divided back."""
+    fact = SeparableFactorization(_op(3, NONCUBIC))
+    rng = np.random.default_rng(11)
+    rhs = rng.normal(size=fact.shape) + 1j * rng.normal(size=fact.shape)
+    ref = fact.solve(rhs)
     trsyl = subdomain._trsyl
-    shapes = []
 
-    def rescaling_leaves(A, B, C):
-        shapes.append(C.shape)
+    def rescaling(A, B, C):
         Y, scale, info = trsyl(A, B, C)
-        if C.shape != (136, 141):
-            return 0.5 * Y, 0.5, info
-        return Y, scale, info
+        assert scale == 1.0 and info == 0
+        return 0.5 * Y, 0.5, 0
 
-    monkeypatch.setattr(subdomain, "_trsyl", rescaling_leaves)
-    X = subdomain._sylvester(A, B, C)
-    assert shapes[0] != (136, 141) and shapes[-1] == (136, 141)
-    monkeypatch.undo()
-    assert np.array_equal(X, _one_call(A, B, C))
+    monkeypatch.setattr(subdomain, "_trsyl", rescaling)
+    assert np.array_equal(fact.solve(rhs), ref)
 
 
-@pytest.mark.parametrize("m, n", ((3, 3), (136, 141)))
-def test_sylvester_raises_on_trsyl_error(monkeypatch, m, n):
+def test_separable_3d_raises_on_trsyl_error(monkeypatch):
+    fact = SeparableFactorization(_op(3, NONCUBIC))
     monkeypatch.setattr(subdomain, "_trsyl", lambda A, B, C: (C, 1.0, -1))
     with pytest.raises(SolverError, match="info=-1"):
-        subdomain._sylvester(*_sylvester_problem(m, n))
+        fact.solve(np.ones(fact.shape, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("dim, n", ((2, 21), (3, 13)))
@@ -256,17 +224,17 @@ def test_splu_factors_a_zero_interior_diagonal(dim, n):
     assert np.sum(diag < 1e-12 * diag.max()) >= 3**dim
     rng = np.random.default_rng(4)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
-    u = factorize(op, "splu").solve(rhs)
+    u = SparseLuFactorization(op).solve(rhs)
     res = np.linalg.norm(op.apply(u) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
 
 
 def test_auto_selects_backend():
-    sep = factorize(_op(), "auto")
+    sep = factorize(_op())
     assert sep.backend == "separable"
     raster = RasterModel(((0, 1), (0, 1)),
                          np.array([[1.0, 1.2], [1.1, 1.3]], dtype=np.float32))
-    lu = factorize(_op(model=raster), "auto")
+    lu = factorize(_op(model=raster))
     assert lu.backend == "splu"
 
 
@@ -274,7 +242,7 @@ def test_separable_rejects_full_kappa():
     raster = RasterModel(((0, 1), (0, 1)),
                          np.array([[1.0, 1.2], [1.1, 1.3]], dtype=np.float32))
     with pytest.raises(ConfigurationError):
-        factorize(_op(model=raster), "separable")
+        SeparableFactorization(_op(model=raster))
 
 
 def test_rhs_shape_checked():
@@ -329,7 +297,7 @@ def test_splu_fill_below_colamd():
     """The symmetric-mode ordering keeps raster subdomain fill well below a
     COLAMD column ordering of the same matrices."""
     ops = _partition_operators((4, 4), RASTER).values()
-    fill = sum(factorize(op, "splu").factor_nnz for op in ops)
+    fill = sum(SparseLuFactorization(op).factor_nnz for op in ops)
     reference = 0
     for op in ops:
         lu = spla.splu(op.to_sparse().tocsc(), permc_spec="COLAMD")
