@@ -1,7 +1,6 @@
 """Diagonal sweeping domain decomposition solver for the Helmholtz equation."""
 
 from .ddm import (
-    SweepPlan,
     additive_ddm_solve,
     build_global_operator,
     build_operators,
@@ -31,7 +30,6 @@ __all__ = [
     "PipelineSpec",
     "PmlProfile",
     "SolveReport",
-    "SweepPlan",
     "Window",
     "additive_ddm_solve",
     "assemble_operator",

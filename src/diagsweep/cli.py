@@ -53,7 +53,7 @@ EXIT_IO = 4
 _LAYER_SECONDS = ("solve_s", "transfer_s", "blend_s")
 
 
-def _build_problem(cfg: RunConfig, counts=None, partition_counts=None, source=None):
+def _build_problem(cfg: RunConfig, counts=None, partition_counts=None):
     grid = cfg.build_grid(counts)
     partition = cfg.build_partition(grid, partition_counts)
     profile = cfg.build_profile()
@@ -176,11 +176,10 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
-def decay_history(cfg: RunConfig, counts, f=None, n_it=None):
+def decay_history(cfg: RunConfig, counts, n_it=None):
     """Iterative-mode relative residual per iteration for one partition."""
     grid, partition, operators, gop = _build_problem(cfg, partition_counts=counts)
-    if f is None:
-        f = cfg.build_source(grid)
+    f = cfg.build_source(grid)
     cache = FactorizationCache()
     full = grid.full_window()
     u = np.zeros(grid.counts, dtype=np.complex128)
@@ -385,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         overrides = {}
         for item in args.overrides:
             if "=" not in item:

@@ -265,7 +265,13 @@ class RunConfig:
                 key = "depths" if "depths" in str(exc) else "speeds"  # ordering check
                 raise ModelError(f"{self._where('problem', key)}: {exc}") from None
         if kind == "raster":
-            return load_velocity(self.get("problem", "raster_path"))
+            model = load_velocity(self.get("problem", "raster_path"))
+            if model.samples.ndim != self.dim:
+                raise ConfigurationError(
+                    f"{self._where('problem', 'raster_path')}: raster_path holds a "
+                    f"{model.samples.ndim}D raster but dim is {self.dim}"
+                )
+            return model
         raise ConfigurationError(
             f"{self._where('problem', 'medium')}: unknown medium {kind!r}"
         )
@@ -287,18 +293,23 @@ class RunConfig:
             center = tuple(self.getlist("problem", "center", float))
             return gaussian_source(grid, center, self.omega, interior)
         if kind == "shots":
-            return point_shots(grid, self.getpairs("problem", "shots"), interior)
-        if kind == "random-shots":
+            key, locs = "shots", self.getpairs("problem", "shots")
+        elif kind == "random-shots":
             if rng is None:
                 rng = np.random.default_rng(0)
-            count = self.getint("problem", "n_shots")
+            key, count = "n_shots", self.getint("problem", "n_shots")
             locs = [
                 tuple(rng.uniform(a, b) for a, b in interior) for _ in range(count)
             ]
-            return point_shots(grid, locs, interior)
-        raise ConfigurationError(
-            f"{self._where('problem', 'source')}: unknown source {kind!r}"
-        )
+        else:
+            raise ConfigurationError(
+                f"{self._where('problem', 'source')}: unknown source {kind!r}"
+            )
+        if not locs:  # shot weights never cancel, so only no shots is a zero source
+            raise ConfigurationError(
+                f"{self._where('problem', key)}: no shots, so the source is zero"
+            )
+        return point_shots(grid, locs, interior)
 
     def pipeline_spec(self) -> PipelineSpec:
         counts = tuple(self.getlist("pipeline", "counts", int))

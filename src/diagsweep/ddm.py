@@ -10,11 +10,11 @@ and in where an emitted source is delivered:
 * additive: every subdomain runs at every step s = 1..sum(N)-dim+1.  Step 1
   takes the restricted source f_{i,j}; a source emitted at step s along
   direction d is consumed at step s + |d|_1.
-* diagonal sweeping: 2^dim sweeps over the diagonal directions; within a
-  sweep, subdomains run in anti-diagonal step order, and every emitted
-  source is routed to the smallest admissible sweep (same sweep when it
-  points with it, a later one otherwise, or discarded when no later sweep
-  accepts it).
+* diagonal sweeping: 2^dim sweeps over the diagonal directions, always in
+  the fixed order `partition.SWEEP_DIRECTIONS`; within a sweep, subdomains
+  run in anti-diagonal step order, and every emitted source is routed to the
+  smallest admissible sweep (same sweep when it points with it, a later one
+  otherwise, or discarded when no later sweep accepts it).
 
 For constant media the diagonal sweep reconstructs the global PML solution
 octant by octant; for variable media it serves as the preconditioner.
@@ -32,53 +32,22 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .grid import ComplexField, Window
-from .partition import Partition, octant_region, steps_per_sweep, sweep_step_of
+from .partition import (
+    SWEEP_DIRECTIONS,
+    Partition,
+    octant_region,
+    steps_per_sweep,
+    sweep_step_of,
+)
 from .pml import PmlProfile, assemble_operator
 from .subdomain import FactorizationCache
 from .transfer import next_usable_sweep, psi
 
-_DEFAULT_2D = ((1, 1), (-1, 1), (1, -1), (-1, -1))
-_DEFAULT_3D = (
-    (1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1),
-    (1, 1, -1), (-1, 1, -1), (1, -1, -1), (-1, -1, -1),
-)
-# alternative order with monotonically increasing L1 distance from the first
-_ALTERNATE_3D = (
-    (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
-    (-1, -1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, -1),
-)
 # `restrict_source` warns when the collar part of the source exceeds this
 # fraction of its norm.  The tail of a Gaussian centred in the interior is far
 # below it, and it is far above the ~1e-8 that rounding leaves in the
 # difference of squared norms the collar part is computed from
 COLLAR_LEAK = 1e-6
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """Ordered list of diagonal sweep directions."""
-
-    directions: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        dim = len(self.directions[0])
-        expected = set(itertools.product((-1, 1), repeat=dim))
-        if set(self.directions) != expected or len(self.directions) != len(expected):
-            raise ConfigurationError(
-                "sweep plan must cover every diagonal direction exactly once"
-            )
-
-    @classmethod
-    def default(cls, dim: int) -> "SweepPlan":
-        return cls(_DEFAULT_2D if dim == 2 else _DEFAULT_3D)
-
-    @classmethod
-    def alternate_3d(cls) -> "SweepPlan":
-        return cls(_ALTERNATE_3D)
-
-    @property
-    def dim(self) -> int:
-        return len(self.directions[0])
 
 
 def source_directions(dim: int):
@@ -270,14 +239,12 @@ def diagonal_sweep_solve(
     partition: Partition,
     operators: dict,
     cache: FactorizationCache,
-    plan: SweepPlan | None = None,
     *,
     collect_partials: bool = False,
     record_events: bool = False,
     warn_collar: bool = True,
 ) -> tuple[ComplexField, DdmReport]:
     """One application of the diagonal sweeping DDM to the source `f`."""
-    plan = plan or SweepPlan.default(partition.dim)
     report = DdmReport(
         events=[] if record_events else None,
         partials=[] if collect_partials else None,
@@ -287,7 +254,7 @@ def diagonal_sweep_solve(
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
     n_steps = steps_per_sweep(partition.counts)
-    for sweep, sweep_dir in enumerate(plan.directions, 1):
+    for sweep, sweep_dir in enumerate(SWEEP_DIRECTIONS[partition.dim], 1):
         groups = _step_groups(partition, sweep_dir)
         for step in range(1, n_steps + 1):
             for index in groups.get(step, []):
@@ -300,7 +267,7 @@ def diagonal_sweep_solve(
                 )
                 queued = 0
                 for ts in emitted or ():
-                    use = next_usable_sweep(ts.direction, sweep, plan.directions)
+                    use = next_usable_sweep(ts.direction, sweep)
                     if use is None:
                         report.discarded_sources += 1
                     else:
@@ -358,12 +325,10 @@ def octant_exactness_check(
     reference: np.ndarray,
     partition: Partition,
     origin: tuple[int, ...],
-    plan: SweepPlan | None = None,
 ) -> list[dict]:
     """Per-sweep relative errors of the partial sums on their octant regions."""
-    plan = plan or SweepPlan.default(partition.dim)
     out = []
-    for sweep, direction in enumerate(plan.directions, 1):
+    for sweep, direction in enumerate(SWEEP_DIRECTIONS[partition.dim], 1):
         region = octant_region(direction, origin, partition.counts)
         mask = np.zeros(partition.grid.counts, dtype=bool)
         for index in region.indices:

@@ -36,9 +36,6 @@ class Grid:
         a, b = self.extents[axis]
         return np.linspace(a, b, self.counts[axis])
 
-    def node_count(self) -> int:
-        return math.prod(self.counts)
-
     def full_window(self) -> "Window":
         return Window(tuple(0 for _ in self.counts), tuple(n - 1 for n in self.counts))
 
@@ -92,9 +89,6 @@ class ComplexField:
                 f"field shape {self.values.shape} does not match grid {self.grid.counts}"
             )
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
 
 def make_grid(extents, counts) -> Grid:
     extents = tuple((float(a), float(b)) for a, b in extents)
@@ -107,10 +101,6 @@ def make_grid(extents, counts) -> Grid:
         if not b > a:
             raise ConfigurationError(f"degenerate extent [{a}, {b}]")
     return Grid(extents, counts)
-
-
-def zero_field(grid: Grid) -> ComplexField:
-    return ComplexField(grid, np.zeros(grid.counts, dtype=np.complex128))
 
 
 def _check_finite(values: np.ndarray):

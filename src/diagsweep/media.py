@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelError
 from .grid import Grid
+from .reference import gaussian_amplitude
 
 DEPTH_AXIS = -1  # layers are horizontal: speed varies along the last axis
 
@@ -127,10 +128,12 @@ def load_velocity(path) -> RasterModel:
     sidecar = path.with_suffix(path.suffix + ".json")
     if not path.exists() or not sidecar.exists():
         raise ModelError(f"missing raster file or sidecar for {path}")
-    meta = json.loads(sidecar.read_text())
     try:
+        meta = json.loads(sidecar.read_text())
         counts = tuple(int(n) for n in meta["counts"])
         extents = tuple((float(a), float(b)) for a, b in meta["extents"])
+        if len(extents) != len(counts):
+            raise ModelError(f"{len(counts)} counts but {len(extents)} extents")
         if meta["dtype"] != "f32le":
             raise ModelError(f"unsupported raster dtype {meta['dtype']!r}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -153,10 +156,7 @@ def gaussian_source(grid: Grid, center, kappa: float, interior=None) -> np.ndarr
     center = tuple(float(c) for c in center)
     _check_inside(center, grid, interior)
     dim = grid.dim
-    if dim == 2:
-        amp = 16.0 * kappa**2 / math.pi**3
-    else:
-        amp = 64.0 * kappa**3 / math.pi**4.5
+    amp = gaussian_amplitude(kappa, dim)
     rate = (4.0 * kappa / math.pi) ** 2
     r_sq = np.zeros(grid.counts)
     for axis in range(dim):

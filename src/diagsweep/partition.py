@@ -228,6 +228,17 @@ def make_partition(
     return part
 
 
+# The order of the 2^dim diagonal sweeps, per dimension; the engine, the
+# octant check and the pipeline's core assignment all run it
+SWEEP_DIRECTIONS = {
+    2: ((1, 1), (-1, 1), (1, -1), (-1, -1)),
+    3: (
+        (1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1),
+        (1, 1, -1), (-1, 1, -1), (1, -1, -1), (-1, -1, -1),
+    ),
+}
+
+
 def sweep_step_of(
     index: tuple[int, ...], direction: tuple[int, ...], counts: tuple[int, ...]
 ) -> int:

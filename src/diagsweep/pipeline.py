@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import ConfigurationError
-from .partition import steps_per_sweep, sweep_step_of
+from .partition import SWEEP_DIRECTIONS, steps_per_sweep, sweep_step_of
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,22 @@ def _base_indices(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(1, n + 1) for n in counts)))
 
 
-def core_assignment(
-    counts: tuple[int, ...], directions
-) -> list[dict[int, tuple[int, ...]]]:
-    """Per-sweep map rank -> subdomain index solved by that core.
+def core_assignment(counts: tuple[int, ...]) -> list[dict[int, tuple[int, ...]]]:
+    """Per-sweep map rank -> subdomain index solved by that core, in sweep order.
 
     The core of a base subdomain solves its mirror image along every axis the
     sweep direction flips, so each core's anti-diagonal step is the same in
-    every sweep.
+    every sweep, and a mirror map covers every subdomain once.
     """
     bases = _base_indices(counts)
     out = []
-    for direction in directions:
+    for direction in SWEEP_DIRECTIONS[len(counts)]:
         sweep_map = {}
         for base in bases:
             index = tuple(
                 i if c == 1 else n + 1 - i for i, c, n in zip(base, direction, counts)
             )
             sweep_map[core_rank(base, counts)] = index
-        if len(set(sweep_map.values())) != len(bases):
-            raise ConfigurationError("core assignment does not cover all subdomains")
         out.append(sweep_map)
     return out
 

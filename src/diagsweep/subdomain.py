@@ -149,7 +149,6 @@ class SparseLuFactorization:
         self.window = op.window
         self.shape = op.window.shape
         matrix = op.to_sparse().tocsc()
-        self.matrix_nnz = matrix.nnz
         try:
             self._lu = spla.splu(
                 matrix,

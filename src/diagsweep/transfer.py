@@ -34,12 +34,13 @@ Which sweep may consume a transferred source is decided by two rules:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Window
-from .partition import Partition
+from .partition import SWEEP_DIRECTIONS, Partition
 
 
 @dataclass
@@ -85,9 +86,15 @@ def rule_allows(src_dir, gen_sweep_dir, use_sweep_dir, dim: int) -> bool:
     return True
 
 
-def next_usable_sweep(src_dir, gen_sweep: int, directions) -> int | None:
-    """Smallest sweep ordinal >= gen_sweep whose rules accept the source."""
+@functools.cache
+def next_usable_sweep(src_dir: tuple[int, ...], gen_sweep: int) -> int | None:
+    """Smallest sweep ordinal >= gen_sweep whose rules accept the source.
+
+    Sweeps run in the fixed `SWEEP_DIRECTIONS` order, so the answer depends
+    only on its (hashable) arguments and is computed once per process.
+    """
     dim = len(src_dir)
+    directions = SWEEP_DIRECTIONS[dim]
     gen_dir = directions[gen_sweep - 1]
     for use in range(gen_sweep, len(directions) + 1):
         if rule_allows(src_dir, gen_dir, directions[use - 1], dim):

@@ -11,6 +11,7 @@ from diagsweep.config import load_config
 from diagsweep.ddm import restrict_source
 from diagsweep.errors import SolverError
 from diagsweep.grid import load_field
+from diagsweep.media import RasterModel, save_velocity
 
 SMALL = """
 [problem]
@@ -196,8 +197,11 @@ def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, fre
      "layer speeds must be finite and > 0"),
     ("medium = constant", "medium = layered\nspeeds = 1, 2, 1.5\ndepths = 0.6, 0.3",
      "interface depths must be strictly increasing"),
+    ("source = gaussian", "source = shots\nshots =", "no shots, so the source is zero"),
+    ("source = gaussian", "source = random-shots\nn_shots = 0",
+     "no shots, so the source is zero"),
 ), ids=("pml_points", "damping", "speed", "restart", "max_iter", "tol",
-        "layer_speeds", "layer_depths"))
+        "layer_speeds", "layer_depths", "no_shots", "zero_n_shots"))
 def test_bad_setting_is_a_configuration_error(tmp_path, capsys, old, new, message):
     text = SMALL.replace(old, new)
     bad = tmp_path / "bad.ini"
@@ -206,6 +210,31 @@ def test_bad_setting_is_a_configuration_error(tmp_path, capsys, old, new, messag
     assert _run(["solve", "--config", bad, "--out", tmp_path / "out"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{bad}:{line}: {message}" in err
+
+
+@pytest.mark.parametrize("flag, value", (("--seed", -1), ("--threads", 0), ("--threads", -3)))
+def test_bad_argument_is_a_configuration_error(small_ini, tmp_path, capsys, flag, value):
+    assert _run(["solve", "--config", small_ini, "--out", tmp_path / "out",
+                 flag, value]) == EXIT_CONFIG
+    assert f"{flag} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, sidecar, message", (
+    (2, "{not json", "malformed raster sidecar"),
+    (2, '{"counts": [3, 3], "extents": [[0, 1]], "dtype": "f32le"}',
+     "2 counts but 1 extents"),
+    (3, None, "raster_path holds a 3D raster but dim is 2"),
+), ids=("sidecar_not_json", "sidecar_extents", "raster_dim"))
+def test_bad_raster_is_a_configuration_error(tmp_path, capsys, dim, sidecar, message):
+    raster = tmp_path / "speed.raster"
+    save_velocity(RasterModel(((0.0, 1.0),) * dim, np.ones((3,) * dim, np.float32)), raster)
+    if sidecar is not None:
+        raster.with_suffix(".raster.json").write_text(sidecar)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL.replace("medium = constant",
+                                 f"medium = raster\nraster_path = {raster}"))
+    assert _run(["solve", "--config", bad, "--out", tmp_path / "out"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_convergence_study(small_ini, tmp_path):

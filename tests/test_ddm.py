@@ -1,5 +1,6 @@
 """Diagonal sweeping solves with transferred sources."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 import diagsweep.ddm
 from diagsweep.ddm import (
-    SweepPlan,
     additive_ddm_solve,
     build_global_operator,
     build_operators,
@@ -22,7 +22,7 @@ from diagsweep.ddm import (
 from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import make_grid
 from diagsweep.media import constant_model, gaussian_source
-from diagsweep.partition import make_partition
+from diagsweep.partition import SWEEP_DIRECTIONS, make_partition
 from diagsweep.pml import PmlProfile, tuned_sigma_max
 from diagsweep.subdomain import (
     FactorizationCache,
@@ -72,11 +72,12 @@ def prob2d():
     return _setup_2d()
 
 
-def test_sweep_plan_validation():
-    assert len(SweepPlan.default(2).directions) == 4
-    assert len(SweepPlan.alternate_3d().directions) == 8
-    with pytest.raises(ConfigurationError):
-        SweepPlan(((1, 1), (1, 1), (-1, 1), (-1, -1)))
+def test_sweep_and_source_directions():
+    # each dimension's sweep order lists every diagonal direction exactly once
+    for dim in (2, 3):
+        diagonals = set(itertools.product((-1, 1), repeat=dim))
+        assert len(SWEEP_DIRECTIONS[dim]) == len(diagonals) == 2**dim
+        assert set(SWEEP_DIRECTIONS[dim]) == diagonals
     assert len(source_directions(2)) == 8
     assert len(source_directions(3)) == 26
 
@@ -211,11 +212,11 @@ def test_source_left_unconsumed_raises(prob2d, monkeypatch):
     real = diagsweep.ddm.next_usable_sweep
     calls = []
 
-    def misroute(direction, sweep, directions):
+    def misroute(direction, sweep):
         calls.append(direction)
         if len(calls) == 1:
-            return len(directions) + 1  # a sweep past the last, which never runs
-        return real(direction, sweep, directions)
+            return len(SWEEP_DIRECTIONS[2]) + 1  # past the last sweep, which never runs
+        return real(direction, sweep)
 
     monkeypatch.setattr(diagsweep.ddm, "next_usable_sweep", misroute)
     f = _compact_source(grid, part, (1, 1), kappa)
@@ -223,7 +224,7 @@ def test_source_left_unconsumed_raises(prob2d, monkeypatch):
         diagonal_sweep_solve(f, part, ops, FactorizationCache())
 
 
-def test_3d_plans_agree():
+def test_3d_sweep_matches_global_solve():
     h = 1 / 32
     n = 45  # 32 interior cells plus a 6-point collar per side
     grid = make_grid(((0, h * (n - 1)),) * 3, (n,) * 3)
@@ -234,16 +235,10 @@ def test_3d_plans_agree():
     gop = build_global_operator(part, profile, constant_model(1.0), kappa)
     f = _compact_source(grid, part, (1, 1, 1), kappa)
     u_ref = SeparableFactorization(gop).solve(f)
-    cache = FactorizationCache()
-    results = []
-    for plan in (SweepPlan.default(3), SweepPlan.alternate_3d()):
-        u, report = diagonal_sweep_solve(f, part, ops, cache, plan=plan)
-        rel = np.linalg.norm(u.values - u_ref) / np.linalg.norm(u_ref)
-        assert rel < 5e-3
-        assert report.nonzero_solves == 8
-        results.append(u.values)
-    # both sweep orders visit an equivalent transfer schedule
-    assert np.linalg.norm(results[0] - results[1]) < 1e-12 * np.linalg.norm(results[0])
+    u, report = diagonal_sweep_solve(f, part, ops, FactorizationCache())
+    rel = np.linalg.norm(u.values - u_ref) / np.linalg.norm(u_ref)
+    assert rel < 5e-3
+    assert report.nonzero_solves == 8
 
 
 def test_event_log_roundtrip(tmp_path, prob2d):

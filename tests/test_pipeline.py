@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from diagsweep.ddm import SweepPlan
 from diagsweep.errors import ConfigurationError
 from diagsweep.pipeline import (
     PipelineSpec,
@@ -91,14 +90,13 @@ def test_core_rank_row_major():
 @pytest.mark.parametrize("counts", ((2, 3), (2, 2, 3)))
 def test_core_assignment_covers_each_sweep(counts):
     dim = len(counts)
-    plan = SweepPlan.default(dim)
-    maps = core_assignment(counts, plan.directions)
+    maps = core_assignment(counts)
     assert len(maps) == 2**dim
     all_indices = set(maps[0].values())
     assert len(all_indices) == math.prod(counts)
-    from diagsweep.partition import sweep_step_of
+    from diagsweep.partition import SWEEP_DIRECTIONS, sweep_step_of
 
-    for sweep_map, direction in zip(maps, plan.directions):
+    for sweep_map, direction in zip(maps, SWEEP_DIRECTIONS[dim]):
         # every subdomain solved exactly once per sweep
         assert set(sweep_map.values()) == all_indices
         # each core keeps its anti-diagonal step across sweeps

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diagsweep.ddm import SweepPlan, build_operators
+from diagsweep.ddm import build_operators
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import constant_model
-from diagsweep.partition import make_partition
+from diagsweep.partition import SWEEP_DIRECTIONS, make_partition
 from diagsweep.pml import PmlProfile, tuned_sigma_max
 from diagsweep.subdomain import factorize
 from diagsweep.transfer import (
@@ -61,23 +61,36 @@ def test_similar_direction_definitions():
 
 
 def test_next_usable_sweep_default_2d_plan():
-    plan = SweepPlan.default(2).directions
     # forward source generated in sweep 1 is usable immediately
-    assert next_usable_sweep((1, 0), 1, plan) == 1
+    assert next_usable_sweep((1, 0), 1) == 1
     # backward diagonal source from sweep 1 waits for the last sweep
-    assert next_usable_sweep((-1, -1), 1, plan) == 4
+    assert next_usable_sweep((-1, -1), 1) == 4
     # axis source whose only similar remaining sweep opposes its generator
     # is dropped entirely
-    assert next_usable_sweep((1, 0), 2, plan) is None
+    assert next_usable_sweep((1, 0), 2) is None
     # the final sweep can still consume its own leftward sources
-    assert next_usable_sweep((-1, 0), 4, plan) == 4
+    assert next_usable_sweep((-1, 0), 4) == 4
 
 
-def test_sweep_plan_validation():
-    with pytest.raises(Exception):
-        SweepPlan(((1, 1), (1, -1), (-1, 1), (1, 1)))  # missing (-1,-1)
-    assert len(SweepPlan.default(3).directions) == 8
-    assert len(SweepPlan.alternate_3d().directions) == 8
+@pytest.mark.parametrize("dim", (2, 3))
+def test_cached_routing_matches_the_rules(dim):
+    """The cached `next_usable_sweep` equals a fresh scan of `rule_allows`
+    for every (source direction, generating sweep) pair."""
+    directions = SWEEP_DIRECTIONS[dim]
+    n = len(directions)
+    for src in itertools.product((-1, 0, 1), repeat=dim):
+        if not any(src):
+            continue
+        for gen in range(1, n + 1):
+            expected = next(
+                (use for use in range(gen, n + 1)
+                 if rule_allows(src, directions[gen - 1], directions[use - 1], dim)),
+                None,
+            )
+            assert next_usable_sweep(src, gen) == expected
+            hits = next_usable_sweep.cache_info().hits
+            assert next_usable_sweep(src, gen) == expected
+            assert next_usable_sweep.cache_info().hits == hits + 1
 
 
 def _setup2d():
