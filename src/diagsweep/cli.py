@@ -43,7 +43,7 @@ from .grid import ComplexField, dump_field, field_error, write_pgm
 from .krylov import gmres
 from .media import point_shots
 from .pipeline import average_time_recursive, simulate_pipeline
-from .reference import radial_solution
+from .reference import gaussian_profile, radial_solution
 from .subdomain import FactorizationCache, factorize
 
 EXIT_CONFIG = 2
@@ -150,14 +150,18 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
         raise ConfigurationError("convergence study needs at least 2 meshes")
     if cfg.get("problem", "medium") != "constant":
         raise ConfigurationError("convergence study requires a constant medium")
+    if cfg.get("problem", "source") != "gaussian":
+        raise ConfigurationError("convergence study requires a gaussian source")
     center = tuple(cfg.getlist("problem", "center", float))
     kappa = cfg.omega / cfg.getfloat("problem", "speed")
+    # build_source's Gaussian is that of omega, whatever the wavenumber kappa
+    source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
     rows = []
     for cells in meshes:
         grid, partition, operators, gop = _build_problem(cfg, (cells,) * cfg.dim)
         f = cfg.build_source(grid, rng)
         u, info, _, _ = _solve_once(cfg, f, partition, operators, gop)
-        ref = radial_solution(grid, center, kappa)
+        ref = radial_solution(grid, center, kappa, profile=source)
         l2 = field_error(u, ref, "L2", region=partition.interior)
         h1 = field_error(u, ref, "H1", region=partition.interior)
         rows.append((cells, min(grid.spacing), l2, h1))

@@ -72,6 +72,17 @@ def tuned_sigma_max(
     return damping * (exponent + 1) / (2.0 * kappa * pml_width)
 
 
+def dense_tridiagonal(lower, diag, upper) -> np.ndarray:
+    """The dense complex matrix with these sub-, main and super-diagonals."""
+    m = diag.size
+    T = np.zeros((m, m), dtype=np.complex128)
+    idx = np.arange(m)
+    T[idx, idx] = diag
+    T[idx[1:], idx[1:] - 1] = lower
+    T[idx[:-1], idx[:-1] + 1] = upper
+    return T
+
+
 @dataclass
 class DiscreteOperator:
     """The assembled PML Helmholtz stencil on one window of the global grid."""
@@ -110,20 +121,13 @@ class DiscreteOperator:
         """Couplings (c_lo, c_hi) to the previous/next node along `axis`."""
         return self._coefficients[axis][:2]
 
-    def tridiag_dense(self, axis: int) -> np.ndarray:
-        """The per-axis tridiagonal T_axis (without the kappa^2 diagonal)."""
+    def tridiagonal(self, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (sub, main, super) diagonals of T_axis (without kappa^2), read-only."""
         c_lo, c_hi, diag = self._coefficients[axis]
-        m = c_lo.size
-        T = np.zeros((m, m), dtype=np.complex128)
-        idx = np.arange(m)
-        T[idx, idx] = diag
-        T[idx[1:], idx[1:] - 1] = c_lo[1:]
-        T[idx[:-1], idx[:-1] + 1] = c_hi[:-1]
-        return T
+        return c_lo[1:], diag, c_hi[:-1]
 
     def _tridiag_sparse(self, axis: int) -> sp.spmatrix:
-        c_lo, c_hi, diag = self._coefficients[axis]
-        return sp.diags([c_lo[1:], diag, c_hi[:-1]], [-1, 0, 1], format="csr")
+        return sp.diags(self.tridiagonal(axis), [-1, 0, 1], format="csr")
 
     def kappa2_values(self, region: Window | None = None) -> np.ndarray:
         """kappa^2 on the (sub)window, as a read-only broadcast view."""

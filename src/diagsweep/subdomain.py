@@ -34,7 +34,13 @@ Factorizations are cached by operator fingerprint.  Operators are exact
 functions of their integer structure, so structurally identical subdomains
 share one factorization across sweeps, iterations and right-hand sides: a
 constant medium on N^dim equal boxes needs 3^dim (first, interior or last
-along each axis).
+along each axis).  Each cache also keeps a table of per-axis Schur factors,
+keyed by the three diagonals of the exact tridiagonal triangularized (kappa^2
+folded in, the last axis transposed), which the separable factorizations hold
+by reference.  A subdomain's factor along one axis depends only on where it
+sits along that axis, so a quasi-uniform constant partition needs 3 Schur
+factors per triangularized axis (in 3D, axes 0 and 1 share theirs) instead
+of one per factorization and axis.
 """
 
 from __future__ import annotations
@@ -46,44 +52,63 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs, schur
 
 from .errors import ConfigurationError, SolverError
-from .pml import DiscreteOperator
+from .pml import DiscreteOperator, dense_tridiagonal
 
 _trsyl, _gtsv = get_lapack_funcs(("trsyl", "gtsv"), (np.zeros((1, 1), np.complex128),))
 
 
+def _schur_factor(lower, diag, upper, table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur factor (R, Q) of the tridiagonal with these diagonals.
+
+    `table` maps the diagonals' bytes to factors already computed, so an
+    equal tridiagonal is triangularized once and its arrays are shared."""
+    key = (lower.tobytes(), diag.tobytes(), upper.tobytes())
+    factor = table.get(key)
+    if factor is None:
+        factor = table[key] = schur(dense_tridiagonal(lower, diag, upper), output="complex")
+    return factor
+
+
 class SeparableFactorization:
-    """Schur-based fast direct solver for Kronecker-sum operators."""
+    """Schur-based fast direct solver for Kronecker-sum operators.
+
+    The per-axis Schur factors come from `schur_table` (see `_schur_factor`)
+    when one is given, so that equal axes share them; else from a table of
+    this factorization's own."""
 
     backend = "separable"
 
-    def __init__(self, op: DiscreteOperator):
+    def __init__(self, op: DiscreteOperator, schur_table: dict | None = None):
         if not op.separable:
             raise ConfigurationError("operator kappa^2 is not tensor-structured")
         self.window = op.window
         self.shape = op.window.shape
         dim = op.dim
-        T = [op.tridiag_dense(a) for a in range(dim)]
+        table = {} if schur_table is None else schur_table
+        tri = [op.tridiagonal(a) for a in range(dim)]
         # kappa^2 joins the diagonal of the axis along which it varies, or of
-        # the last axis when it is constant; the last-axis factor is transposed
+        # the last axis when it is constant
         axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), dim - 1)
-        diag = np.arange(self.shape[axis])
-        T[axis][diag, diag] += op.kappa2.ravel()
-        self._R2, self._Q2 = schur(T[-1].T, output="complex")
+        lower, diag, upper = tri[axis]
+        tri[axis] = (lower, diag + op.kappa2.ravel(), upper)
+        # the last-axis factor is of the transposed tridiagonal
+        lower, diag, upper = tri[-1]
+        self._R2, self._Q2 = _schur_factor(upper, diag, lower, table)
         if dim == 2:
             # axis 0 stays tridiagonal; f2py's gtsv rejects the empty
             # off-diagonals of a one-node axis
             if self.shape[0] < 2:
                 raise ConfigurationError("2D separable solve needs 2 nodes on axis 0")
-            self._lower, self._diag, self._upper = (
-                T[0].diagonal(k).copy() for k in (-1, 0, 1)
-            )
+            self._lower, self._diag, self._upper = (np.array(d) for d in tri[0])
         else:
-            self._R1, self._Q1 = schur(T[0], output="complex")
-            self._R3, self._Q3 = schur(T[1], output="complex")
+            self._R1, self._Q1 = _schur_factor(*tri[0], table)
+            self._R3, self._Q3 = _schur_factor(*tri[1], table)
         self._dim = dim
-        self.factor_bytes = sum(
-            a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)
-        )
+        # id -> bytes of each array held, so that shared arrays count once
+        self.held = {
+            id(a): a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)
+        }
+        self.factor_bytes = sum(self.held.values())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape != self.shape:
@@ -160,6 +185,7 @@ class SparseLuFactorization:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
         self.factor_nnz = self._lu.L.nnz + self._lu.U.nnz
         self.factor_bytes = self.factor_nnz * 16
+        self.held = {id(self): self.factor_bytes}  # SuperLU's memory, as one buffer
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape != self.shape:
@@ -173,16 +199,20 @@ class SparseLuFactorization:
 Factorization = SeparableFactorization | SparseLuFactorization
 
 
-def factorize(op: DiscreteOperator) -> Factorization:
+def factorize(op: DiscreteOperator, schur_table: dict | None = None) -> Factorization:
     """Separable backend when kappa^2 varies along at most one axis, else SuperLU."""
-    return SeparableFactorization(op) if op.separable else SparseLuFactorization(op)
+    if op.separable:
+        return SeparableFactorization(op, schur_table)
+    return SparseLuFactorization(op)
 
 
 @dataclass
 class FactorizationCache:
-    """Shares factorizations between subdomains with identical operators."""
+    """Shares factorizations between subdomains with identical operators,
+    and per-axis Schur factors between equal axes of any of them."""
 
     _store: dict = field(default_factory=dict)
+    _schur: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -190,7 +220,7 @@ class FactorizationCache:
         key = op.fingerprint
         fact = self._store.get(key)
         if fact is None:
-            fact = factorize(op)
+            fact = factorize(op, self._schur)
             self._store[key] = fact
             self.misses += 1
         else:
@@ -203,4 +233,8 @@ class FactorizationCache:
 
     @property
     def total_bytes(self) -> int:
-        return sum(f.factor_bytes for f in self._store.values())
+        """Bytes the cached factorizations hold, shared arrays counted once."""
+        held = {}
+        for fact in self._store.values():
+            held.update(fact.held)
+        return sum(held.values())

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, fit_decay_rate, main
 from diagsweep.config import load_config
@@ -219,6 +221,57 @@ def test_bad_argument_is_a_configuration_error(small_ini, tmp_path, capsys, flag
     assert f"{flag} must be >= " in capsys.readouterr().err
 
 
+# the fixtures hold only the read-only config and an output directory that
+# every example may overwrite, so they are safe to share between examples
+FUZZ = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+NOT_FINITE_AND_POSITIVE = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf")),
+    st.floats(max_value=0.0, allow_nan=False).map(repr),
+)
+
+
+def _exits_2_without_traceback(capsys, args, message):
+    assert _run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert "Traceback" not in err
+
+
+@given(key=st.sampled_from(("problem.speed", "solver.tol", "discretization.damping")),
+       value=NOT_FINITE_AND_POSITIVE)
+@FUZZ
+def test_any_bad_positive_setting_exits_2(small_ini, tmp_path, capsys, key, value):
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"{key}={value}"],
+        f"{key.split('.')[1]} must be finite and > 0",
+    )
+
+
+@given(key=st.sampled_from(("restart", "max_iter")), value=st.integers(max_value=0))
+@FUZZ
+def test_any_gmres_count_below_1_exits_2(small_ini, tmp_path, capsys, key, value):
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"solver.{key}={value}"],
+        f"{key} must be >= 1",
+    )
+
+
+@given(flag_value=st.one_of(
+    st.tuples(st.just("--threads"), st.integers(max_value=0)),
+    st.tuples(st.just("--seed"), st.integers(max_value=-1)),
+))
+@FUZZ
+def test_any_bad_argument_exits_2(small_ini, tmp_path, capsys, flag_value):
+    flag, value = flag_value
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out", flag, value],
+        f"{flag} must be >= ",
+    )
+
+
 @pytest.mark.parametrize("dim, sidecar, message", (
     (2, "{not json", "malformed raster sidecar"),
     (2, '{"counts": [3, 3], "extents": [[0, 1]], "dtype": "f32le"}',
@@ -248,12 +301,28 @@ def test_convergence_study(small_ini, tmp_path):
     coarse, fine = (line.split(",") for line in lines[2:])
     assert float(fine[2]) < float(coarse[2])
     assert 1.5 < float(fine[3]) < 2.5  # near second order in L2
-    # refusing non-constant media and short mesh lists
+    # refusing non-constant media, other sources and short mesh lists
     assert _run(["convergence", "--config", small_ini, "--out", out,
                  "--set", "convergence.meshes=40"]) == EXIT_CONFIG
     assert _run(["convergence", "--config", small_ini, "--out", out,
                  "--set", "convergence.meshes=40,80",
                  "--set", "problem.medium=layered"]) == EXIT_CONFIG
+    assert _run(["convergence", "--config", small_ini, "--out", out,
+                 "--set", "convergence.meshes=40,80",
+                 "--set", "problem.source=shots",
+                 "--set", "problem.shots=0.5,0.5"]) == EXIT_CONFIG
+
+
+def test_convergence_study_off_unit_speed(small_ini, tmp_path):
+    """The reference is driven by the same Gaussian as the solve at any
+    speed, so the study still reads second order."""
+    out = tmp_path / "out"
+    assert _run(["convergence", "--config", small_ini, "--out", out,
+                 "--set", "convergence.meshes=40,80",
+                 "--set", "problem.speed=2.0",
+                 "--set", "solver.mode=direct-ddm"]) == 0
+    fine = (out / "convergence.csv").read_text().splitlines()[-1].split(",")
+    assert float(fine[3]) > 1.5
 
 
 def test_decay_command(small_ini, tmp_path):

@@ -13,7 +13,7 @@ from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import RasterModel, constant_model, layered_model
 from diagsweep.partition import make_partition
-from diagsweep.pml import PmlProfile, assemble_operator
+from diagsweep.pml import PmlProfile, assemble_operator, dense_tridiagonal
 from diagsweep.subdomain import (
     FactorizationCache,
     SeparableFactorization,
@@ -117,7 +117,7 @@ def _one_call(A, B, C):
 def _two_sided_schur_solve(op, rhs):
     """The 2D solve with both axes triangularized: one triangular Sylvester
     equation between two Schur factors, kappa^2 folded in the same way."""
-    T = [op.tridiag_dense(a) for a in range(2)]
+    T = [dense_tridiagonal(*op.tridiagonal(a)) for a in range(2)]
     axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), 1)
     T[axis][np.diag_indices(len(T[axis]))] += op.kappa2.ravel()
     R1, Q1 = schur(T[0], output="complex")
@@ -303,3 +303,85 @@ def test_splu_fill_below_colamd():
         lu = spla.splu(op.to_sparse().tocsc(), permc_spec="COLAMD")
         reference += lu.L.nnz + lu.U.nnz
     assert fill <= 0.75 * reference
+
+
+@pytest.fixture()
+def schur_calls(monkeypatch):
+    """Counts the Schur factorizations the separable backend computes."""
+    calls = []
+
+    def counting(a, **kw):
+        calls.append(a.shape)
+        return schur(a, **kw)
+
+    monkeypatch.setattr(subdomain, "schur", counting)
+    return calls
+
+
+@pytest.mark.parametrize("counts, factorizations, schur_count", (
+    ((4, 4), 9, 3),
+    ((3, 3, 3), 27, 6),
+), ids=("const-4x4", "const-3x3x3"))
+def test_cache_shares_schur_factors_per_axis(schur_calls, counts, factorizations,
+                                             schur_count):
+    """A subdomain's factor along one axis depends only on whether it is
+    first, interior or last along that axis, so the cache computes 3 per
+    triangularized axis, not one per factorization and axis.  In 3D, axes 0
+    and 1 of a cube carry equal tridiagonals and share their 3."""
+    cache = FactorizationCache()
+    for op in _partition_operators(counts, constant_model(1.0), cells=24).values():
+        cache.get(op)
+    assert cache.count == factorizations
+    assert len(schur_calls) == schur_count
+
+
+def test_layered_medium_shares_schur_factors_along_depth_windows(schur_calls):
+    """kappa^2 folds into the last (depth) axis, so only subdomains on the
+    same depth window share a Schur factor."""
+    operators = _partition_operators((4, 4), layered_model((0.3, 0.6), (1.0, 2.0, 1.5)))
+    cache = FactorizationCache()
+    for op in operators.values():
+        cache.get(op)
+    depth_windows = {(op.window.lo[1], op.window.hi[1]) for op in operators.values()}
+    assert cache.count == 12
+    assert len(schur_calls) == len(depth_windows) == 4
+
+
+def test_fresh_cache_computes_its_own_schur_factors(schur_calls):
+    operators = _partition_operators((4, 4), constant_model(1.0)).values()
+    first = FactorizationCache()
+    for op in operators:
+        first.get(op)
+    calls = len(schur_calls)
+    second = FactorizationCache()
+    for op in operators:
+        second.get(op)
+    assert len(schur_calls) == 2 * calls == 6
+
+
+@pytest.mark.parametrize("counts, model", (
+    ((4, 4), constant_model(1.0)),
+    ((4, 4), layered_model((0.3, 0.6), (1.0, 2.0, 1.5))),
+    ((3, 3, 3), constant_model(1.0)),
+    ((3, 3, 3), layered_model((0.5,), (1.0, 2.0))),
+), ids=("const-2d", "layered-2d", "const-3d", "layered-3d"))
+def test_shared_schur_factors_solve_bit_identically(counts, model):
+    cache = FactorizationCache()
+    rng = np.random.default_rng(12)
+    for op in _partition_operators(counts, model, cells=24).values():
+        rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
+        assert np.array_equal(cache.get(op).solve(rhs),
+                              SeparableFactorization(op).solve(rhs))
+
+
+def test_cache_counts_shared_bytes_once():
+    cache = FactorizationCache()
+    ops = _partition_operators((4, 4), constant_model(1.0)).values()
+    facts = list({id(f): f for f in map(cache.get, ops)}.values())
+    assert len(facts) == cache.count == 9
+    distinct = {id(a): a for f in facts for a in vars(f).values()
+                if isinstance(a, np.ndarray)}
+    assert cache.total_bytes == sum(a.nbytes for a in distinct.values())
+    # the 9 factorizations hold 3 Schur factors (R, Q) between them
+    assert len({id(f._R2) for f in facts}) == 3
+    assert cache.total_bytes < sum(f.factor_bytes for f in facts)
