@@ -22,7 +22,6 @@ octant by octant; for variable media it serves as the preconditioner.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 import warnings
@@ -48,13 +47,6 @@ from .transfer import next_usable_sweep, psi
 # below it, and it is far above the ~1e-8 that rounding leaves in the
 # difference of squared norms the collar part is computed from
 COLLAR_LEAK = 1e-6
-
-
-def source_directions(dim: int):
-    """All 3^dim - 1 transfer directions, in a fixed deterministic order."""
-    return tuple(
-        d for d in itertools.product((-1, 0, 1), repeat=dim) if any(d)
-    )
 
 
 def content_cuts(direction, parent_cuts: frozenset) -> frozenset:
@@ -184,9 +176,8 @@ def _step_groups(partition: Partition, direction):
 
 
 def _accumulate(combined, partition, index, u_local):
-    support, beta = partition.beta00_support(index)
-    win = partition.window(index)
-    combined[support.slices()] += beta * u_local[win.local_slices(support)]
+    _, beta, (blend, local) = partition.beta00_support(index)
+    combined[blend] += beta * u_local[local]
 
 
 def _solve_and_emit(
@@ -197,8 +188,9 @@ def _solve_and_emit(
     Sums the subdomain's own source piece `own` ((window, values), or None)
     and the `arrivals`, solves the local PML problem, blends the solution
     into `combined` with beta_{0,0}, and returns the sources it transfers
-    along `directions` (each carrying its cut set).  A zero right-hand side
-    is counted as a solve but not solved, and the task returns None.
+    along `directions` (each carrying its cut set), which must all have
+    their target inside the partition.  A zero right-hand side is counted
+    as a solve but not solved, and the task returns None.
     """
     win = partition.window(index)
     rhs = np.zeros(win.shape, dtype=np.complex128)
@@ -208,7 +200,7 @@ def _solve_and_emit(
         has_own = bool(np.any(src_values))
         rhs[win.local_slices(src_win)] += src_values
     for ts in arrivals:
-        rhs[win.local_slices(ts.window)] += ts.values
+        rhs[ts.slices] += ts.values
     cuts = solve_cuts([ts.cuts for ts in arrivals], has_own)
     report.solves += 1
     if not np.any(rhs):
@@ -227,9 +219,8 @@ def _solve_and_emit(
         if not emits(direction, cuts):
             continue
         ts = psi(partition, operators, index, direction, u_local, rhs)
-        if ts is not None:
-            ts.cuts = content_cuts(direction, cuts)
-            emitted.append(ts)
+        ts.cuts = content_cuts(direction, cuts)
+        emitted.append(ts)
     report.transfer_s += time.perf_counter() - blended
     return emitted
 
@@ -249,7 +240,6 @@ def diagonal_sweep_solve(
         events=[] if record_events else None,
         partials=[] if collect_partials else None,
     )
-    directions = source_directions(partition.dim)
     sources = restrict_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
@@ -263,7 +253,7 @@ def diagonal_sweep_solve(
                 solve_before = report.solve_s
                 emitted = _solve_and_emit(
                     partition, operators, cache, index, own, arrivals,
-                    directions, combined, report,
+                    partition.transfer_directions(index), combined, report,
                 )
                 queued = 0
                 for ts in emitted or ():
@@ -297,16 +287,16 @@ def additive_ddm_solve(
 ) -> tuple[ComplexField, DdmReport]:
     """The additive overlapping DDM baseline (all subdomains at every step)."""
     report = DdmReport()
-    directions = source_directions(partition.dim)
     sources = restrict_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
     total_steps = sum(partition.counts) - partition.dim + 1
     for step in range(1, total_steps + 1):
-        # a source sent along d arrives |d|_1 steps later; none arrives past the end
-        reach = [d for d in directions if step + sum(map(abs, d)) <= total_steps]
         for index in sorted(partition.subdomains()):
             own = sources[index] if step == 1 else None
+            # a source sent along d arrives |d|_1 steps later; none arrives past the end
+            reach = [d for d in partition.transfer_directions(index)
+                     if step + sum(map(abs, d)) <= total_steps]
             emitted = _solve_and_emit(
                 partition, operators, cache, index, own,
                 queues.pop((step, index), []), reach, combined, report,

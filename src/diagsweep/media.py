@@ -47,6 +47,8 @@ class LayeredModel:
             raise ModelError("need exactly one more speed than interface depth")
         if not all(math.isfinite(s) and s > 0 for s in self.speeds):
             raise ModelError(f"layer speeds must be finite and > 0, got {self.speeds}")
+        if not all(math.isfinite(d) for d in self.depths):
+            raise ModelError(f"interface depths must be finite, got {self.depths}")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ModelError("interface depths must be strictly increasing")
 
@@ -70,6 +72,8 @@ class RasterModel:
     samples: np.ndarray  # float32, shape = raster counts
 
     def __post_init__(self):
+        if not all(math.isfinite(a) and math.isfinite(b) and a < b for a, b in self.extents):
+            raise ModelError(f"raster extents must be finite with lo < hi, got {self.extents}")
         if not np.all(np.isfinite(self.samples) & (self.samples > 0)):
             raise ModelError("raster speeds must be finite and > 0")
 
@@ -134,6 +138,8 @@ def load_velocity(path) -> RasterModel:
         extents = tuple((float(a), float(b)) for a, b in meta["extents"])
         if len(extents) != len(counts):
             raise ModelError(f"{len(counts)} counts but {len(extents)} extents")
+        if any(n < 1 for n in counts):
+            raise ModelError(f"raster counts must be >= 1, got {counts}")
         if meta["dtype"] != "f32le":
             raise ModelError(f"unsupported raster dtype {meta['dtype']!r}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -187,6 +193,10 @@ def _check_inside(point, grid: Grid, interior) -> None:
         boxes = grid.extents
     else:
         boxes = interior
+    if len(point) != grid.dim:
+        raise ConfigurationError(
+            f"source location {point} has {len(point)} coordinates, need {grid.dim}"
+        )
     for c, (a, b) in zip(point, boxes):
         if not a <= c <= b:
             raise ConfigurationError(f"source location {point} outside {boxes}")

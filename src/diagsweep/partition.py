@@ -99,6 +99,7 @@ class Partition:
             tuple(self.breaks[a][i] for a, i in enumerate(index)),
         )
 
+    @_per_instance
     def window(self, index: tuple[int, ...]) -> Window:
         reach = self.overlap_d_points + self.pml_width_points
         lo, hi = [], []
@@ -136,9 +137,10 @@ class Partition:
         return np.ones(nodes.shape)
 
     @_per_instance
-    def beta00_support(self, index: tuple[int, ...]) -> tuple[Window, np.ndarray]:
+    def beta00_support(self, index: tuple[int, ...]):
         """Support window of beta_{0,0;index}, the window less the PML at
-        interior faces, and its sampled values (read-only)."""
+        interior faces, its sampled values (read-only), and the support's
+        slices in the global grid and in the subdomain window."""
         win, p = self.window(index), self.pml_width_points
         support = Window(
             tuple(lo + p * (i > 1) for lo, i in zip(win.lo, index)),
@@ -147,13 +149,21 @@ class Partition:
         values = _outer(support, range(self.dim), lambda a, x: self.beta_1d_nodes(
             a, -1, index[a], x) * self.beta_1d_nodes(a, 1, index[a], x))
         values.flags.writeable = False
-        return support, values
+        return support, values, (support.slices(), win.local_slices(support))
+
+    @_per_instance
+    def transfer_directions(self, index: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The `source_directions` whose target lies inside the partition, in order."""
+        return tuple(
+            d for d in source_directions(self.dim)
+            if self.transfer_geometry(index, d) is not None
+        )
 
     @_per_instance
     def transfer_geometry(self, index: tuple[int, ...], direction: tuple[int, ...]):
         """(target, band, ext, slices, sign, weight) of Psi_{direction; index}, or
         None when the target lies outside the partition.  `slices` places ext
-        and band in the source window and band in ext; `weight` =
+        and band in the source window and band in the target window; `weight` =
         prod_a (1 - beta_a) - 1 on `ext`, of length 1 off the crossed axes.
         """
         target = tuple(i + c for i, c in zip(index, direction))
@@ -172,7 +182,7 @@ class Partition:
             a, direction[a], index[a], x)) - 1.0
         weight.flags.writeable = False
         slices = (src_win.local_slices(ext), src_win.local_slices(band),
-                  ext.local_slices(band))
+                  self.window(target).local_slices(band))
         return target, band, ext, slices, (-1.0) ** (len(crossed) + 1), weight
 
     def chi_indicator(
@@ -226,6 +236,13 @@ def make_partition(
                 f"axis {axis}: subdomain size {per} smaller than overlap+pml {reach}"
             )
     return part
+
+
+def source_directions(dim: int):
+    """All 3^dim - 1 transfer directions, in a fixed deterministic order."""
+    return tuple(
+        d for d in itertools.product((-1, 0, 1), repeat=dim) if any(d)
+    )
 
 
 # The order of the 2^dim diagonal sweeps, per dimension; the engine, the

@@ -26,7 +26,7 @@ factorization by fingerprint alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +92,7 @@ class DiscreteOperator:
     alpha_nodes: list[np.ndarray]
     alpha_faces: list[np.ndarray]  # length m+1 per axis, face i at x_i - h/2
     kappa2: np.ndarray  # broadcasts to the window shape, length 1 where constant
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -136,29 +137,70 @@ class DiscreteOperator:
         local = self.window.local_slices(region)
         return np.broadcast_to(self.kappa2, self.window.shape)[local]
 
-    def apply(self, v: np.ndarray, region: Window | None = None) -> np.ndarray:
-        """Stencil action on `v` given on `region` (zero outside), result on `region`."""
+    def apply(
+        self, v: np.ndarray, region: Window | None = None, rows: Window | None = None
+    ) -> np.ndarray:
+        """Stencil action on `v` given on `region` (zero outside), on the rows
+        `rows` of `region` only (default: all of it).
+
+        The slices and coefficient views of each (region, rows) pair are built
+        once and kept on the operator, so a call is only multiply-adds.  A plan
+        holds views of the operator's coefficients and kappa^2, never copies.
+        The sum runs kappa^2 first, then per axis the diagonal, lower and upper
+        neighbour, so any `rows` gives bit-identical values to the whole region.
+        """
         if region is None:
             region = self.window
         if v.shape != region.shape:
             raise ConfigurationError(
                 f"field shape {v.shape} does not match window {region.shape}"
             )
-        local = self.window.local_slices(region)
-        out = self.kappa2_values(region) * v
+        key = (region, region if rows is None else rows)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        kappa2, rows_in_region, axes = plan
+        v_rows = v[rows_in_region]
+        out = kappa2 * v_rows
+        for diag, neighbours in axes:
+            out += diag * v_rows
+            for out_part, v_part, coupling in neighbours:
+                out[out_part] += coupling * v[v_part]
+        return out
+
+    def _plan(self, region: Window, rows: Window):
+        """(kappa^2 on rows, rows in region, per axis (diag, neighbour terms)):
+        a neighbour term adds coupling * v[v_part] to out[out_part] for the
+        rows whose neighbour along that axis lies in `region`."""
+        if self.window.intersect(region) != region or region.intersect(rows) != rows:
+            raise ConfigurationError(
+                f"rows {rows} not inside region {region} inside window {self.window}"
+            )
         dim = self.dim
-        for axis, coeffs in enumerate(self._coefficients):
-            c_lo, c_hi, diag = (c[local[axis]] for c in coeffs)
+        local = self.window.local_slices(rows)
+        rows_in_region = region.local_slices(rows)
+        axes = []
+        for axis, (c_lo, c_hi, diag) in enumerate(self._coefficients):
             shape = [1] * dim
             shape[axis] = -1
-            out += diag.reshape(shape) * v
-            up = [slice(None)] * dim
-            down = [slice(None)] * dim
-            up[axis] = slice(1, None)
-            down[axis] = slice(None, -1)
-            out[tuple(up)] += c_lo[1:].reshape(shape) * v[tuple(down)]
-            out[tuple(down)] += c_hi[:-1].reshape(shape) * v[tuple(up)]
-        return out
+            lo, hi, origin = rows.lo[axis], rows.hi[axis], self.window.lo[axis]
+            neighbours = []
+            for coupling, step, first, last in (
+                (c_lo, -1, max(lo, region.lo[axis] + 1), hi),
+                (c_hi, 1, lo, min(hi, region.hi[axis] - 1)),
+            ):
+                if first > last:
+                    continue
+                out_part = [slice(None)] * dim
+                out_part[axis] = slice(first - lo, last - lo + 1)
+                v_part = list(rows_in_region)
+                v_part[axis] = slice(
+                    first + step - region.lo[axis], last + step - region.lo[axis] + 1
+                )
+                view = coupling[first - origin : last - origin + 1].reshape(shape)
+                neighbours.append((tuple(out_part), tuple(v_part), view))
+            axes.append((diag[local[axis]].reshape(shape), tuple(neighbours)))
+        return self.kappa2_values(rows), rows_in_region, tuple(axes)
 
     def to_sparse(self) -> sp.csr_matrix:
         """Full sparse matrix over the window, C-ordered flattening."""

@@ -10,7 +10,17 @@ the direction, the solved local right-hand side r, the NEIGHBOR's operator,
 and the inclusion-exclusion sign s = (-1)^(|dir|_1 + 1).  The band is the
 d+1 node layers from the shared breakpoint on (per nonzero axis; the window
 intersection along the others).  Band, sign and cutoff weight depend only on
-(index, direction): `Partition.transfer_geometry` builds them once.
+(index, direction): `Partition.transfer_geometry` builds them once, and the
+engines ask for Psi only along `Partition.transfer_directions`, whose targets
+lie inside the partition.
+
+The stencil is evaluated on the band rows only: the weighted v is given on
+ext, the band grown by one node, and `DiscreteOperator.apply(..., region=ext,
+rows=band)` computes no row outside the band.  The neighbor operator keeps
+the slices and coefficient views of each (ext, band) pair in a per-operator
+plan, built on first use; a plan holds only views of the operator's own
+arrays, so it adds no copies, and its sums run in the order of the whole-
+region stencil, so the values are bit-identical to it.
 
 The expression is L(prod (1-beta_a) v) on the band with the subset-free term
 L(v) replaced by the identity L(v) = r, which keeps every stencil evaluation
@@ -20,7 +30,8 @@ v across its absorption onset).  For a face direction this reduces to the
 continuum form (r - L(beta v)) chi; the corner and edge signs subtract the
 doubly covered band intersections so the target residual is delivered exactly
 once, and a reverse transfer of a pure transfer solution vanishes to
-discretization accuracy.  Sources are stored as (window, values) pairs.
+discretization accuracy.  Sources are stored as (window, values) pairs,
+with the window's slices in the target's window.
 
 Which sweep may consume a transferred source is decided by two rules:
 
@@ -55,6 +66,7 @@ class TransferredSource:
     target: tuple[int, ...]
     direction: tuple[int, ...]
     window: Window
+    slices: tuple[slice, ...]  # of `window` in the target's window
     values: np.ndarray
     cuts: frozenset = frozenset()
 
@@ -119,7 +131,7 @@ def psi(
     geometry = partition.transfer_geometry(index, direction)
     if geometry is None:
         return None
-    target, band, ext, (v_ext, rhs_band, ext_band), sign, weight = geometry
-    correction = operators[target].apply(weight * v[v_ext], region=ext)
-    payload = sign * (rhs[rhs_band] + correction[ext_band])
-    return TransferredSource(target, tuple(direction), band, payload)
+    target, band, ext, (v_ext, rhs_band, target_band), sign, weight = geometry
+    correction = operators[target].apply(weight * v[v_ext], region=ext, rows=band)
+    payload = sign * (rhs[rhs_band] + correction)
+    return TransferredSource(target, tuple(direction), band, target_band, payload)

@@ -20,11 +20,10 @@ from diagsweep.ddm import (
     build_operators,
     diagonal_sweep_solve,
     octant_exactness_check,
-    source_directions,
 )
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import constant_model, gaussian_source
-from diagsweep.partition import make_partition
+from diagsweep.partition import make_partition, source_directions
 from diagsweep.pipeline import PipelineSpec, average_time_diagonal, average_time_recursive, simulate_pipeline
 from diagsweep.pml import PmlProfile, assemble_operator, tuned_sigma_max
 from diagsweep.subdomain import FactorizationCache, SeparableFactorization, factorize
@@ -227,7 +226,7 @@ def test_criterion_5_octant_construction(capsys):
         solved += solved_by_sweep.get(sweep, [])
         allowed = np.zeros(grid.counts, dtype=bool)
         for index in solved:
-            support, _ = part.beta00_support(index)
+            support, _, _ = part.beta00_support(index)
             allowed[support.slices()] = True
         zero_ok = zero_ok and not np.any(partial[~allowed])
     _verdict(
@@ -362,7 +361,7 @@ def test_criterion_9_property_suite(capsys):
         | {b + off for b in part.breaks[0] for off in (-1, 0, 1) if 0 <= b + off < n}
     )
     for index in part.subdomains():
-        support, beta = part.beta00_support(index)
+        support, beta, _ = part.beta00_support(index)
         box_w = part.box(index)
         inside = tuple(
             slice(box_w.lo[a] - support.lo[a], box_w.hi[a] - support.lo[a] + 1)

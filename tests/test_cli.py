@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -288,6 +289,76 @@ def test_bad_raster_is_a_configuration_error(tmp_path, capsys, dim, sidecar, mes
                                  f"medium = raster\nraster_path = {raster}"))
     assert _run(["solve", "--config", bad, "--out", tmp_path / "out"]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", (
+    ("problem.center=0.5",),
+    ("problem.center=0.5,0.5,0.5",),
+    ("problem.source=shots", "problem.shots=0.5"),
+), ids=("center_1", "center_3", "shot_1"))
+def test_source_point_needs_dim_coordinates(small_ini, tmp_path, capsys, overrides):
+    args = ["solve", "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in overrides:
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, "coordinates, need 2")
+
+
+@given(key=st.sampled_from(("center", "shots")),
+       point=st.lists(st.floats(0.1, 0.9), min_size=1, max_size=4).filter(lambda p: len(p) != 2))
+@FUZZ
+def test_any_source_point_of_wrong_length_exits_2(small_ini, tmp_path, capsys, key, point):
+    args = ["solve", "--config", small_ini, "--out", tmp_path / "out",
+            "--set", f"problem.{key}={','.join(map(repr, point))}"]
+    if key == "shots":
+        args += ["--set", "problem.source=shots"]
+    _exits_2_without_traceback(capsys, args, f"has {len(point)} coordinates, need 2")
+
+
+NOT_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@given(depths=st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3), bad=NOT_FINITE,
+       where=st.integers(0, 2))
+@FUZZ
+def test_any_nonfinite_layer_depth_exits_2(small_ini, tmp_path, capsys, depths, bad, where):
+    depths = sorted(depths)
+    depths[where % len(depths)] = bad
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", "problem.medium=layered",
+                 "--set", f"problem.depths={','.join(map(repr, depths))}",
+                 "--set", f"problem.speeds={','.join(['1.0'] * (len(depths) + 1))}"],
+        "interface depths must be finite",
+    )
+
+
+FINITE = st.floats(-10.0, 10.0)
+BAD_EXTENT = st.one_of(
+    st.tuples(FINITE, st.floats(-10.0, 0.0)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(NOT_FINITE, FINITE, st.booleans()).map(lambda t: t[:2] if t[2] else t[1::-1]),
+)
+
+
+@given(axis=st.integers(0, 1), sidecar=st.one_of(
+    st.tuples(st.just("extents"), BAD_EXTENT),
+    st.tuples(st.just("counts"), st.integers(max_value=0)),
+))
+@FUZZ
+def test_any_degenerate_raster_sidecar_exits_2(tmp_path, capsys, axis, sidecar):
+    key, value = sidecar
+    raster = tmp_path / "speed.raster"
+    save_velocity(RasterModel(((0.0, 1.0),) * 2, np.ones((3, 3), np.float32)), raster)
+    meta = {"counts": [3, 3], "extents": [[0.0, 1.0], [0.0, 1.0]], "dtype": "f32le"}
+    meta[key][axis] = list(value) if key == "extents" else value
+    raster.with_suffix(".raster.json").write_text(json.dumps(meta))
+    bad = tmp_path / "bad.ini"
+    bad.write_text(SMALL.replace("medium = constant",
+                                 f"medium = raster\nraster_path = {raster}"))
+    message = ("raster extents must be finite with lo < hi" if key == "extents"
+               else "raster counts must be >= 1")
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", bad, "--out", tmp_path / "out"], message
+    )
 
 
 def test_convergence_study(small_ini, tmp_path):

@@ -17,12 +17,11 @@ from diagsweep.ddm import (
     octant_exactness_check,
     restrict_source,
     solve_cuts,
-    source_directions,
 )
 from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import make_grid
 from diagsweep.media import constant_model, gaussian_source
-from diagsweep.partition import SWEEP_DIRECTIONS, make_partition
+from diagsweep.partition import SWEEP_DIRECTIONS, make_partition, source_directions
 from diagsweep.pml import PmlProfile, tuned_sigma_max
 from diagsweep.subdomain import (
     FactorizationCache,
@@ -147,6 +146,38 @@ def test_emission_counts_center_source(prob2d):
     assert emitted[(2, 1)] == (3, 1, 2)
     for corner, sweep in (((3, 3), 1), ((1, 3), 2), ((3, 1), 3), ((1, 1), 4)):
         assert emitted[corner] == (sweep, 3, 0)
+
+
+def test_psi_called_only_inside_partition(prob2d, monkeypatch):
+    """With psi re-bound in the engine module, as the benchmark's tracer does,
+    a sweep calls it only for directions whose target is in the partition,
+    and every call yields a source that is queued or discarded."""
+    grid, part, ops, _, kappa = prob2d
+    real = diagsweep.ddm.psi
+    calls = []
+
+    def recording_psi(partition, operators, index, direction, v, rhs):
+        calls.append((index, direction))
+        ts = real(partition, operators, index, direction, v, rhs)
+        assert ts is not None, (index, direction)
+        return ts
+
+    monkeypatch.setattr(diagsweep.ddm, "psi", recording_psi)
+    rng = np.random.default_rng(6)
+    f = rng.normal(size=grid.counts) + 1j * rng.normal(size=grid.counts)
+    _, report = diagonal_sweep_solve(
+        f, part, ops, FactorizationCache(), record_events=True, warn_collar=False
+    )
+    for index, direction in calls:
+        target = tuple(i + c for i, c in zip(index, direction))
+        assert all(1 <= t <= n for t, n in zip(target, part.counts)), (index, direction)
+        assert direction in part.transfer_directions(index)
+    queued = sum(e["sources_emitted"] for e in report.events)
+    assert calls and len(calls) == queued + report.discarded_sources
+    # the corner (1, 1) solves with its own source in the first sweep and
+    # transfers towards its 3 in-partition neighbors only
+    assert sum(1 for index, _ in calls if index == (1, 1)) >= 3
+    assert part.transfer_directions((1, 1)) == ((0, 1), (1, 0), (1, 1))
 
 
 @pytest.mark.parametrize("dim, nonzero_solves", ((2, 9), (3, 27)), ids=("2d", "3d"))

@@ -83,8 +83,9 @@ def test_beta_support_confined_to_overlap():
     part = _part2d()
     d = part.overlap_d_points
     for index in ((2, 1), (1, 2), (3, 2)):
-        support, values = part.beta00_support(index)
+        support, values, (blend, local) = part.beta00_support(index)
         win = part.window(index)
+        assert blend == support.slices() and local == win.local_slices(support)
         box = part.box(index)
         for a, i in enumerate(index):
             if i > 1:

@@ -1,12 +1,14 @@
 """Absorption profile and discrete PML operator assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from diagsweep.errors import ConfigurationError
 from diagsweep.grid import Window, make_grid
-from diagsweep.media import constant_model, layered_model
+from diagsweep.media import RasterModel, constant_model, layered_model
 from diagsweep.pml import (
     DEFAULT_DAMPING,
     PmlProfile,
@@ -118,6 +120,81 @@ def test_apply_on_subregion_matches_per_call_coefficients():
         want[tuple(down)] += c_hi[:-1].reshape(shape) * v[tuple(up)]
     for _ in range(2):  # the second call reads the cache
         assert np.array_equal(op.apply(v, region=region), want)
+
+
+def _operator(dim, medium, n=15):
+    """An operator on a small full window whose kappa^2 is constant, depth-only
+    (length 1 off the last axis) or a full raster."""
+    grid = make_grid(((0, 1),) * dim, (n,) * dim)
+    raster = np.random.default_rng(8).uniform(1.0, 2.0, (5,) * dim).astype(np.float32)
+    model = {
+        "constant": constant_model(1.0),
+        "layered": layered_model((0.4, 0.7), (1.0, 2.0, 1.5)),
+        "raster": RasterModel(((0.0, 1.0),) * dim, raster),
+    }[medium]
+    box = Window((4,) * dim, (n - 5,) * dim)
+    return assemble_operator(grid, grid.full_window(), box, PmlProfile(4, 1, sigma_max=1.5),
+                             model, 6.0)
+
+
+def _row_windows(region):
+    """The whole region, slabs on each of its faces, one-node-thick planes on
+    them, and an inner block that touches no face."""
+    out = [region, Window(tuple(l + 2 for l in region.lo), tuple(h - 2 for h in region.hi))]
+    for axis, (lo, hi) in itertools.product(range(len(region.lo)), ((0, 2), (-2, 0))):
+        for thick in (0, 2):
+            rows_lo, rows_hi = list(region.lo), list(region.hi)
+            if lo == 0:
+                rows_hi[axis] = region.lo[axis] + thick
+            else:
+                rows_lo[axis] = region.hi[axis] - thick
+            out.append(Window(tuple(rows_lo), tuple(rows_hi)))
+    return out
+
+
+def _plan_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _plan_arrays(item)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("medium", ("constant", "layered", "raster"))
+def test_apply_on_rows_matches_whole_region(dim, medium):
+    """Rows of a region, at its faces or not, are bit-identical to the same
+    rows of the whole region's result, on every call."""
+    op = _operator(dim, medium)
+    rng = np.random.default_rng(9)
+    for region in (op.window, Window((1,) * dim, (12,) * (dim - 1) + (13,))):
+        x = rng.normal(size=region.shape) + 1j * rng.normal(size=region.shape)
+        whole = op.apply(x, region=region)
+        for rows in _row_windows(region):
+            want = whole[region.local_slices(rows)]
+            for _ in range(2):  # the second call reads the cached plan
+                assert np.array_equal(op.apply(x, region=region, rows=rows), want), rows
+    with pytest.raises(ConfigurationError):
+        op.apply(x, region=region, rows=region.grow(1))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("medium", ("constant", "layered", "raster"))
+def test_apply_plans_hold_only_views(dim, medium):
+    """Every array of a cached plan is a view of the operator's own
+    coefficients or kappa^2, so plans add no copies to peak memory."""
+    op = _operator(dim, medium)
+    region = Window((1,) * dim, (12,) * dim)
+    x = np.ones(region.shape, dtype=np.complex128)
+    for rows in _row_windows(region):
+        op.apply(x, region=region, rows=rows)
+    op.apply(np.ones(op.window.shape, dtype=np.complex128))
+    owners = [op.kappa2, *itertools.chain.from_iterable(op._coefficients)]
+    arrays = [a for plan in op._plans.values() for a in _plan_arrays(plan)]
+    assert len(op._plans) == len(_row_windows(region)) + 1
+    assert len(arrays) >= len(op._plans) * (1 + dim)
+    for arr in arrays:
+        assert any(np.shares_memory(arr, owner) for owner in owners)
 
 
 def test_kronecker_sum_structure():

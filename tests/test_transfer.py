@@ -254,6 +254,6 @@ def test_psi_and_beta00_match_per_call_geometry(dim):
                 assert np.array_equal(got.values, want[2]), (index, direction)
         want_support, want_values = _reference_beta00(part, index)
         for _ in range(2):
-            support, values = part.beta00_support(index)
+            support, values, _ = part.beta00_support(index)
             assert support == want_support, index
             assert np.array_equal(values, want_values), index
