@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import itertools
 import json
 import sys
 import time
@@ -180,10 +181,10 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
-def decay_history(cfg: RunConfig, counts, n_it=None):
-    """Iterative-mode relative residual per iteration for one partition."""
+def decay_history(cfg: RunConfig, f, counts, n_it=None):
+    """Iterative-mode relative residual per iteration of the source `f` (on
+    the config's grid) for one partition."""
     grid, partition, operators, gop = _build_problem(cfg, partition_counts=counts)
-    f = cfg.build_source(grid)
     cache = FactorizationCache()
     full = grid.full_window()
     u = np.zeros(grid.counts, dtype=np.complex128)
@@ -215,9 +216,11 @@ def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
     report = {"config_sha256": cfg.sha256, "partitions": {}}
     if cfg.get("problem", "source") == "shots":
         report["shots"] = cfg.getpairs("problem", "shots")
+    # one draw, so that every partition solves the same (seeded) source
+    f = cfg.build_source(cfg.build_grid(), rng)
     for counts in partitions:
         name = "x".join(map(str, counts))
-        history = decay_history(cfg, counts)
+        history = decay_history(cfg, f, counts)
         with _open_csv(out / f"decay_{name}.csv", cfg) as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "relative_residual"])
@@ -286,7 +289,7 @@ def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
         interior = sub.interior_extents()
         shots = [
             tuple(a + t * (b - a) for (a, b), t in zip(interior, frac))
-            for frac in ((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))
+            for frac in itertools.product((0.25, 0.75), repeat=sub.dim)
         ]
         f = point_shots(grid, shots, interior)
         u, info, _, krylov_report = _solve_once(sub, f, partition, operators, gop)

@@ -94,9 +94,6 @@ class RunConfig:
                 f"{self._where(section, key)}: {key} must be {what}, got {value}"
             )
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.values.get(section, {})
-
     def get(self, section: str, key: str, default: str | None = None) -> str:
         try:
             return self.values[section][key]

@@ -8,13 +8,17 @@ towards its neighbors.  The engines differ only in the order of the tasks
 and in where an emitted source is delivered:
 
 * additive: every subdomain runs at every step s = 1..sum(N)-dim+1.  Step 1
-  takes the restricted source f_{i,j}; a source emitted at step s along
-  direction d is consumed at step s + |d|_1.
+  takes the own piece f_{i,j}; a source emitted at step s along direction d
+  is consumed at step s + |d|_1.
 * diagonal sweeping: 2^dim sweeps over the diagonal directions, always in
-  the fixed order `partition.SWEEP_DIRECTIONS`; within a sweep, subdomains
-  run in anti-diagonal step order, and every emitted source is routed to the
-  smallest admissible sweep (same sweep when it points with it, a later one
-  otherwise, or discarded when no later sweep accepts it).
+  the fixed order `partition.SWEEP_DIRECTIONS`; the first sweep takes the own
+  pieces.  Within a sweep, subdomains run in `Partition.sweep_order`, and
+  every emitted source is routed to the smallest admissible sweep (same
+  sweep when it points with it, a later one otherwise, or discarded when no
+  later sweep accepts it).
+
+Both read every slice from the partition: the own piece f_{i,j} is the view
+f[owned] (`Partition.owned`), never a copy.
 
 For constant media the diagonal sweep reconstructs the global PML solution
 octant by octant; for variable media it serves as the preconditioner.
@@ -30,19 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import ComplexField, Window
-from .partition import (
-    SWEEP_DIRECTIONS,
-    Partition,
-    octant_region,
-    steps_per_sweep,
-    sweep_step_of,
-)
+from .grid import ComplexField
+from .partition import SWEEP_DIRECTIONS, Partition, octant_region
 from .pml import PmlProfile, assemble_operator
 from .subdomain import FactorizationCache
 from .transfer import next_usable_sweep, psi
 
-# `restrict_source` warns when the collar part of the source exceeds this
+# `check_source` warns when the collar part of the source exceeds this
 # fraction of its norm.  The tail of a Gaussian centred in the interior is far
 # below it, and it is far above the ~1e-8 that rounding leaves in the
 # difference of squared norms the collar part is computed from
@@ -136,16 +134,10 @@ class DdmReport:
                 fh.write(json.dumps(event) + "\n")
 
 
-def restrict_source(
-    f: np.ndarray, partition: Partition, warn_collar: bool = True
-) -> dict:
-    """Split the global source into per-subdomain owned pieces.
-
-    Every grid node belongs to exactly one subdomain: breakpoint nodes go to
-    the lower-index neighbor and boundary subdomains own their share of the
-    global collar.  Warns (if `warn_collar`) when more than COLLAR_LEAK of
-    the source's norm lies in the collar.  Returns {index: (window, values)}.
-    """
+def check_source(f: np.ndarray, partition: Partition, warn_collar: bool) -> None:
+    """Reject a source whose shape is not the grid's, and warn (if
+    `warn_collar`) when more than COLLAR_LEAK of its norm lies in the global
+    collar, where the boundary subdomains take it as their own piece."""
     if f.shape != partition.grid.counts:
         raise ConfigurationError("source shape does not match the grid")
     if warn_collar:
@@ -153,26 +145,6 @@ def restrict_source(
         collar_sq = total**2 - np.linalg.norm(f[partition.interior.slices()]) ** 2
         if collar_sq > (COLLAR_LEAK * total) ** 2:
             warnings.warn("source support leaks into the global PML collar")
-    out = {}
-    for index in partition.subdomains():
-        owned = list(partition.owned_slices(index))
-        for a, i in enumerate(index):
-            lo = owned[a].start if i > 1 else 0
-            hi = owned[a].stop - 1 if i < partition.counts[a] else partition.grid.counts[a] - 1
-            owned[a] = slice(lo, hi + 1)
-        window = Window(
-            tuple(s.start for s in owned), tuple(s.stop - 1 for s in owned)
-        )
-        out[index] = (window, np.ascontiguousarray(f[tuple(owned)], dtype=np.complex128))
-    return out
-
-
-def _step_groups(partition: Partition, direction):
-    groups = {}
-    for index in partition.subdomains():
-        step = sweep_step_of(index, direction, partition.counts)
-        groups.setdefault(step, []).append(index)
-    return {s: sorted(g) for s, g in groups.items()}
 
 
 def _accumulate(combined, partition, index, u_local):
@@ -181,28 +153,28 @@ def _accumulate(combined, partition, index, u_local):
 
 
 def _solve_and_emit(
-    partition, operators, cache, index, own, arrivals, directions, combined, report
+    partition, operators, cache, index, f, arrivals, directions, combined, report
 ):
     """The subdomain task both engines schedule.
 
-    Sums the subdomain's own source piece `own` ((window, values), or None)
-    and the `arrivals`, solves the local PML problem, blends the solution
-    into `combined` with beta_{0,0}, and returns the sources it transfers
-    along `directions` (each carrying its cut set), which must all have
-    their target inside the partition.  A zero right-hand side is counted
-    as a solve but not solved, and the task returns None.
+    Sums the subdomain's own piece of the global source `f` (None after the
+    first stage) and the `arrivals`, solves the local PML problem, blends the
+    solution into `combined` with beta_{0,0}, and returns the sources it
+    transfers along `directions` (each carrying its cut set), which must all
+    have their target inside the partition.  A zero right-hand side is
+    counted as a solve but not solved, and the task returns None.
     """
-    win = partition.window(index)
-    rhs = np.zeros(win.shape, dtype=np.complex128)
-    has_own = False
-    if own is not None:
-        src_win, src_values = own
-        has_own = bool(np.any(src_values))
-        rhs[win.local_slices(src_win)] += src_values
+    report.solves += 1
+    owned, local = partition.owned(index)
+    has_own = f is not None and bool(np.any(f[owned]))
+    if not has_own and not arrivals:
+        return None
+    rhs = np.zeros(partition.window(index).shape, dtype=np.complex128)
+    if has_own:
+        rhs[local] += f[owned]
     for ts in arrivals:
         rhs[ts.slices] += ts.values
     cuts = solve_cuts([ts.cuts for ts in arrivals], has_own)
-    report.solves += 1
     if not np.any(rhs):
         return None
     fact = cache.get(operators[index])  # factorizes on a miss; not timed
@@ -240,36 +212,33 @@ def diagonal_sweep_solve(
         events=[] if record_events else None,
         partials=[] if collect_partials else None,
     )
-    sources = restrict_source(f, partition, warn_collar)
+    check_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
-    n_steps = steps_per_sweep(partition.counts)
     for sweep, sweep_dir in enumerate(SWEEP_DIRECTIONS[partition.dim], 1):
-        groups = _step_groups(partition, sweep_dir)
-        for step in range(1, n_steps + 1):
-            for index in groups.get(step, []):
-                arrivals = queues.pop((sweep, index), [])
-                own = sources[index] if sweep == 1 else None
-                solve_before = report.solve_s
-                emitted = _solve_and_emit(
-                    partition, operators, cache, index, own, arrivals,
-                    partition.transfer_directions(index), combined, report,
+        own = f if sweep == 1 else None
+        for step, index in partition.sweep_order(sweep_dir):
+            arrivals = queues.pop((sweep, index), [])
+            solve_before = report.solve_s
+            emitted = _solve_and_emit(
+                partition, operators, cache, index, own, arrivals,
+                partition.transfer_directions(index), combined, report,
+            )
+            queued = 0
+            for ts in emitted or ():
+                use = next_usable_sweep(ts.direction, sweep)
+                if use is None:
+                    report.discarded_sources += 1
+                else:
+                    queues.setdefault((use, ts.target), []).append(ts)
+                    queued += 1
+            if report.events is not None:
+                report.events.append(
+                    {"sweep": sweep, "step": step, "subdomain": list(index),
+                     "sources_consumed": len(arrivals), "sources_emitted": queued,
+                     "nonzero": emitted is not None,
+                     "solve_s": report.solve_s - solve_before}
                 )
-                queued = 0
-                for ts in emitted or ():
-                    use = next_usable_sweep(ts.direction, sweep)
-                    if use is None:
-                        report.discarded_sources += 1
-                    else:
-                        queues.setdefault((use, ts.target), []).append(ts)
-                        queued += 1
-                if report.events is not None:
-                    report.events.append(
-                        {"sweep": sweep, "step": step, "subdomain": list(index),
-                         "sources_consumed": len(arrivals), "sources_emitted": queued,
-                         "nonzero": emitted is not None,
-                         "solve_s": report.solve_s - solve_before}
-                    )
         if report.partials is not None:
             report.partials.append(combined.copy())
     if queues:
@@ -287,13 +256,13 @@ def additive_ddm_solve(
 ) -> tuple[ComplexField, DdmReport]:
     """The additive overlapping DDM baseline (all subdomains at every step)."""
     report = DdmReport()
-    sources = restrict_source(f, partition, warn_collar)
+    check_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
     total_steps = sum(partition.counts) - partition.dim + 1
     for step in range(1, total_steps + 1):
-        for index in sorted(partition.subdomains()):
-            own = sources[index] if step == 1 else None
+        own = f if step == 1 else None
+        for index in partition.subdomains():
             # a source sent along d arrives |d|_1 steps later; none arrives past the end
             reach = [d for d in partition.transfer_directions(index)
                      if step + sum(map(abs, d)) <= total_steps]
@@ -321,7 +290,7 @@ def octant_exactness_check(
     for sweep, direction in enumerate(SWEEP_DIRECTIONS[partition.dim], 1):
         region = octant_region(direction, origin, partition.counts)
         mask = np.zeros(partition.grid.counts, dtype=bool)
-        for index in region.indices:
+        for index in region:
             mask[partition.box(index).slices()] = True
         ref_norm = np.linalg.norm(reference[mask]) if mask.any() else 0.0
         if ref_norm == 0.0:
@@ -332,6 +301,6 @@ def octant_exactness_check(
             )
         out.append(
             {"sweep": sweep, "direction": direction,
-             "subdomains": len(region.indices), "relative_error": rel}
+             "subdomains": len(region), "relative_error": rel}
         )
     return out

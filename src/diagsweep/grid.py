@@ -54,9 +54,6 @@ class Window:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h + 1) for l, h in zip(self.lo, self.hi))
 
-    def contains(self, node: tuple[int, ...]) -> bool:
-        return all(l <= p <= h for p, l, h in zip(node, self.lo, self.hi))
-
     def intersect(self, other: "Window") -> "Window | None":
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))

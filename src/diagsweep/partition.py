@@ -10,9 +10,10 @@ transfer across the global boundary).
 Subdomain indices are 1-based tuples, matching the (i, j, k) convention used
 throughout.
 
-Only the partition reads its breakpoints: the transfer geometry of each
-(index, direction) and the beta_{0,0} blend of each index are built once, on
-first use, so `transfer.psi` and the engines' blend do only arithmetic.
+Only the partition reads its breakpoints: the owned-source slices and the
+beta_{0,0} blend of each index, the transfer geometry of each (index,
+direction) and the solve order of each sweep are built once, on first use,
+so `transfer.psi` and the engines do only arithmetic.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ def _per_instance(method):
             self._memo[key] = method(self, *args)
         return self._memo[key]
     return functools.wraps(method)(cached)
-
-
-@dataclass(frozen=True)
-class OctantRegion:
-    """Subdomain indices on one side of the origin subdomain in every axis."""
-
-    direction: tuple[int, ...]
-    origin: tuple[int, ...]
-    indices: frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,28 @@ class Partition:
             lo = bk[i - 1] + 1 if i > 1 else bk[0]
             out.append(slice(lo, bk[i] + 1))
         return tuple(out)
+
+    @_per_instance
+    def owned(self, index: tuple[int, ...]):
+        """Slices of the nodes whose source this subdomain takes, in the global
+        grid and in the subdomain window: `owned_slices` grown through the
+        global collar at boundary faces, so the pieces of all subdomains tile
+        the grid."""
+        lo, hi = [], []
+        for a, (sl, i) in enumerate(zip(self.owned_slices(index), index)):
+            lo.append(sl.start if i > 1 else 0)
+            hi.append(sl.stop - 1 if i < self.counts[a] else self.grid.counts[a] - 1)
+        owned = Window(tuple(lo), tuple(hi))
+        return owned.slices(), self.window(index).local_slices(owned)
+
+    @_per_instance
+    def sweep_order(self, direction: tuple[int, ...]):
+        """The (step, index) pairs of one sweep in solve order: by anti-diagonal
+        step, then by index."""
+        return tuple(sorted(
+            (sweep_step_of(index, direction, self.counts), index)
+            for index in self.subdomains()
+        ))
 
     # cutoff families ------------------------------------------------------
 
@@ -273,7 +287,7 @@ def steps_per_sweep(counts: tuple[int, ...]) -> int:
 
 def octant_region(
     direction: tuple[int, ...], origin: tuple[int, ...], counts: tuple[int, ...]
-) -> OctantRegion:
+) -> frozenset[tuple[int, ...]]:
     """The subdomain indices reached by the sweep `direction` from `origin`.
 
     The +1 side includes the origin index; the -1 side is everything strictly
@@ -285,6 +299,4 @@ def octant_region(
             ranges.append(range(i0, n + 1))
         else:
             ranges.append(range(1, i0))
-    return OctantRegion(
-        tuple(direction), tuple(origin), frozenset(itertools.product(*ranges))
-    )
+    return frozenset(itertools.product(*ranges))

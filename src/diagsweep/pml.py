@@ -118,10 +118,6 @@ class DiscreteOperator:
             out.append(coeffs)
         return tuple(out)
 
-    def axis_coefficients(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Couplings (c_lo, c_hi) to the previous/next node along `axis`."""
-        return self._coefficients[axis][:2]
-
     def tridiagonal(self, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (sub, main, super) diagonals of T_axis (without kappa^2), read-only."""
         c_lo, c_hi, diag = self._coefficients[axis]

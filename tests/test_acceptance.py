@@ -276,9 +276,10 @@ def test_criterion_7_three_layer_decay(capsys):
         "discretization.pml_points": "12",
         "discretization.overlap_points": "5",
     })
+    f = cfg.build_source(cfg.build_grid())
     rates = []
     for counts in ((3, 3), (1, 2)):
-        history = decay_history(cfg, counts, n_it=26)
+        history = decay_history(cfg, f, counts, n_it=26)
         rates.append(fit_decay_rate(history, skip=2, floor=1e-13))
     rel_diff = abs(rates[0] - rates[1]) / abs(rates[1])
     ok = rel_diff <= 0.10 and all(r < 0 for r in rates)

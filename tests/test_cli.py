@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, fit_decay_rate, main
 from diagsweep.config import load_config
-from diagsweep.ddm import restrict_source
+from diagsweep.ddm import check_source
 from diagsweep.errors import SolverError
 from diagsweep.grid import load_field
 from diagsweep.media import RasterModel, save_velocity
@@ -143,10 +143,10 @@ def test_collar_warning_needs_collar_mass(small_ini):
     assert np.any(collar)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        restrict_source(f, partition)
+        check_source(f, partition, True)
     f[0, 0] = 1e-3 * np.abs(f).max()
     with pytest.warns(UserWarning, match="leaks into the global PML collar"):
-        restrict_source(f, partition)
+        check_source(f, partition, True)
 
 
 def test_threads_reach_blas(small_ini, tmp_path):
@@ -414,6 +414,24 @@ def test_decay_command(small_ini, tmp_path):
         assert report["partitions"][name]["rate_log10_per_iteration"] < 0
 
 
+def test_decay_random_shots_follow_seed(small_ini, tmp_path):
+    """Random shots are drawn from --seed once per run, and every partition
+    solves that one source."""
+    tables = {}
+    for run, seed in (("a", 1), ("b", 1), ("c", 2)):
+        out = tmp_path / run
+        assert _run(["decay", "--config", small_ini, "--out", out, "--seed", seed,
+                     "--set", "problem.source=random-shots",
+                     "--set", "problem.n_shots=2",
+                     "--set", "decay.partitions=2x2; 1x2",
+                     "--set", "decay.iterations=4",
+                     "--set", "decay.fit_skip=0",
+                     "--set", "decay.floor=1e-10"]) == 0
+        tables[run] = [(out / f"decay_{name}.csv").read_bytes() for name in ("2x2", "1x2")]
+    assert tables["a"] == tables["b"]
+    assert all(x != y for x, y in zip(tables["a"], tables["c"]))
+
+
 def test_fit_decay_rate():
     history = 10.0 ** (-0.7 * np.arange(12))
     assert fit_decay_rate(history, 2, 1e-30) == pytest.approx(-0.7)
@@ -447,3 +465,19 @@ def test_precond_study(small_ini, tmp_path):
         cells, part, freq, n_iter, converged, wall = line.split(",")
         assert converged == "True"
         assert int(n_iter) <= 6
+
+
+def test_precond_study_3d(small_ini, tmp_path):
+    """The four 2D shots become the eight octant centres of the interior in 3D."""
+    out = tmp_path / "out"
+    assert _run(["precond-study", "--config", small_ini, "--out", out,
+                 "--set", "problem.dim=3",
+                 "--set", "problem.interior=0,1; 0,1; 0,1",
+                 "--set", "problem.center=0.5, 0.5, 0.5",
+                 "--set", "discretization.pml_points=4",
+                 "--set", "discretization.overlap_points=2",
+                 "--set", "precond.rows=16,2x2x2,2",
+                 "--set", "solver.tol=1e-6"]) == 0
+    lines = (out / "precond_study.csv").read_text().splitlines()
+    assert len(lines) == 2 + 1
+    assert lines[2].split(",")[4] == "True"

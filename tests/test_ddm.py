@@ -11,11 +11,11 @@ from diagsweep.ddm import (
     additive_ddm_solve,
     build_global_operator,
     build_operators,
+    check_source,
     content_cuts,
     diagonal_sweep_solve,
     emits,
     octant_exactness_check,
-    restrict_source,
     solve_cuts,
 )
 from diagsweep.errors import ConfigurationError, SolverError
@@ -98,18 +98,19 @@ def test_cut_bookkeeping():
     assert solve_cuts([cuts], True) == frozenset()
 
 
-def test_restrict_source_tiles_grid(prob2d):
+def test_owned_pieces_tile_grid(prob2d):
     grid, part, _, _, kappa = prob2d
     rng = np.random.default_rng(0)
     f = rng.normal(size=grid.counts) + 0j
     with pytest.warns(UserWarning, match="collar"):
-        pieces = restrict_source(f, part)
+        check_source(f, part, True)
     rebuilt = np.zeros_like(f)
-    for window, values in pieces.values():
-        rebuilt[window.slices()] += values
+    for index in part.subdomains():
+        owned, _ = part.owned(index)
+        rebuilt[owned] += f[owned]
     np.testing.assert_array_equal(rebuilt, f)
     with pytest.raises(ConfigurationError):
-        restrict_source(f[:-1], part)
+        check_source(f[:-1], part, True)
 
 
 def test_exact_for_constant_media(prob2d):

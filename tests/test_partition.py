@@ -65,18 +65,26 @@ def test_windows_clip_to_global_boundary():
     assert last.lo == (46 - reach, 36 - reach)
 
 
+def _part3d(cells=24, counts=(3, 2, 2), d=2, pml=3):
+    n = cells + 2 * pml + 1
+    grid = make_grid(((0, 1),) * 3, (n,) * 3)
+    return make_partition(grid, counts, d, pml)
+
+
 def test_owned_slices_tile_the_grid():
-    part = _part2d()
-    seen = np.zeros(part.grid.counts, dtype=int)
-    for index in part.subdomains():
-        sl = list(part.owned_slices(index))
-        # boundary subdomains additionally own their share of the collar
-        for a, i in enumerate(index):
-            lo = sl[a].start if i > 1 else 0
-            hi = sl[a].stop if i < part.counts[a] else part.grid.counts[a]
-            sl[a] = slice(lo, hi)
-        seen[tuple(sl)] += 1
-    assert np.all(seen == 1)
+    """`owned` tiles the grid (boundary subdomains also own their share of
+    the collar), and its window slices hold the same nodes."""
+    for part in (_part2d(), _part3d()):
+        nodes = np.arange(np.prod(part.grid.counts)).reshape(part.grid.counts)
+        seen = np.zeros(part.grid.counts, dtype=int)
+        for index in part.subdomains():
+            owned, local = part.owned(index)
+            seen[owned] += 1
+            # `owned` grows the interior-only `owned_slices`
+            assert np.all(seen[part.owned_slices(index)] == 1)
+            assert np.array_equal(nodes[part.window(index).slices()][local], nodes[owned])
+            assert part.owned(index) is part.owned(index)  # memoized
+        assert np.all(seen == 1)
 
 
 def test_beta_support_confined_to_overlap():
@@ -135,6 +143,20 @@ def test_sweep_steps_enumerate_all_subdomains(counts, direction):
     assert steps.count(1) == 1
 
 
+@pytest.mark.parametrize(
+    "part", [_part2d(48, (4, 4), 2, 3), _part3d(24, (3, 3, 3))], ids=["4x4", "3x3x3"]
+)
+def test_sweep_order_sorts_by_step(part):
+    for direction in itertools.product((-1, 1), repeat=part.dim):
+        fresh = sorted(
+            (sweep_step_of(index, direction, part.counts), index)
+            for index in part.subdomains()
+        )
+        order = part.sweep_order(direction)
+        assert list(order) == fresh
+        assert part.sweep_order(direction) is order  # memo hit
+
+
 def test_octant_regions_tile_index_set():
     counts, origin = (3, 4), (2, 2)
     all_indices = set(itertools.product(range(1, 4), range(1, 5)))
@@ -142,8 +164,8 @@ def test_octant_regions_tile_index_set():
     total = 0
     for direction in itertools.product((-1, 1), repeat=2):
         region = octant_region(direction, origin, counts)
-        total += len(region.indices)
-        union |= region.indices
+        total += len(region)
+        union |= region
     assert union == all_indices
     assert total == len(all_indices)
-    assert origin in octant_region((1, 1), origin, counts).indices
+    assert origin in octant_region((1, 1), origin, counts)

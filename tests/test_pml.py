@@ -108,7 +108,7 @@ def test_apply_on_subregion_matches_per_call_coefficients():
         node, face = op.alpha_nodes[axis], op.alpha_faces[axis]
         c_lo = 1.0 / (node * face[:-1] * h * h)
         c_hi = 1.0 / (node * face[1:] * h * h)
-        for got, ref in zip(op.axis_coefficients(axis), (c_lo, c_hi)):
+        for got, ref in zip(op.tridiagonal(axis), (c_lo[1:], -(c_lo + c_hi), c_hi[:-1])):
             assert np.array_equal(got, ref)
         c_lo, c_hi = c_lo[local[axis]], c_hi[local[axis]]
         shape = [1, 1]
