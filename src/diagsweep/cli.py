@@ -57,7 +57,7 @@ _LAYER_SECONDS = ("solve_s", "transfer_s", "blend_s")
 def _build_problem(cfg: RunConfig, counts=None, partition_counts=None):
     grid = cfg.build_grid(counts)
     partition = cfg.build_partition(grid, partition_counts)
-    profile = cfg.build_profile()
+    profile = cfg.build_profile(grid)
     model = cfg.build_model()
     operators = build_operators(partition, profile, model, cfg.omega)
     gop = build_global_operator(partition, profile, model, cfg.omega)
@@ -147,8 +147,8 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
 
 def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     meshes = cfg.getlist("convergence", "meshes", int)
-    if len(meshes) < 2:
-        raise ConfigurationError("convergence study needs at least 2 meshes")
+    if len(meshes) < 2 or len(set(meshes)) < len(meshes):
+        raise ConfigurationError("convergence study needs at least 2 distinct meshes")
     if cfg.get("problem", "medium") != "constant":
         raise ConfigurationError("convergence study requires a constant medium")
     if cfg.get("problem", "source") != "gaussian":
@@ -157,6 +157,8 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     kappa = cfg.omega / cfg.getfloat("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
+    for cells in meshes:  # a bad mesh exits 2 before the first solve
+        cfg.build_partition(cfg.build_grid((cells,) * cfg.dim))
     rows = []
     for cells in meshes:
         grid, partition, operators, gop = _build_problem(cfg, (cells,) * cfg.dim)
@@ -181,16 +183,15 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
-def decay_history(cfg: RunConfig, f, counts, n_it=None):
-    """Iterative-mode relative residual per iteration of the source `f` (on
-    the config's grid) for one partition."""
+def decay_history(cfg: RunConfig, f, counts, n_it: int):
+    """Iterative-mode relative residual over `n_it` iterations of the source
+    `f` (on the config's grid) for one partition."""
     grid, partition, operators, gop = _build_problem(cfg, partition_counts=counts)
     cache = FactorizationCache()
     full = grid.full_window()
     u = np.zeros(grid.counts, dtype=np.complex128)
     norm_f = np.linalg.norm(f)
     history = []
-    n_it = n_it or cfg.getint("decay", "iterations")
     for _ in range(n_it):
         r = f - gop.apply(u, region=full)
         history.append(float(np.linalg.norm(r) / norm_f))
@@ -211,8 +212,9 @@ def fit_decay_rate(history, skip: int, floor: float) -> float:
 
 def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
     partitions = cfg.decay_partitions()
-    skip = cfg.getint("decay", "fit_skip")
-    floor = cfg.getfloat("decay", "floor")
+    n_it, skip, floor = cfg.decay_settings()
+    for counts in partitions:  # a bad partition exits 2 before the first solve
+        cfg.build_partition(cfg.build_grid(), counts)
     report = {"config_sha256": cfg.sha256, "partitions": {}}
     if cfg.get("problem", "source") == "shots":
         report["shots"] = cfg.getpairs("problem", "shots")
@@ -220,21 +222,25 @@ def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
     f = cfg.build_source(cfg.build_grid(), rng)
     for counts in partitions:
         name = "x".join(map(str, counts))
-        history = decay_history(cfg, f, counts)
+        history = decay_history(cfg, f, counts, n_it)
         with _open_csv(out / f"decay_{name}.csv", cfg) as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "relative_residual"])
             for k, res in enumerate(history):
                 writer.writerow([k, f"{res:.6e}"])
-        rate = fit_decay_rate(history, skip, floor)
+        try:
+            rate = fit_decay_rate(history, skip, floor)
+            print(f"partition {name}: decay {rate:.3f} log10/iteration")
+        except SolverError:  # converged: too few residuals above the floor
+            rate = None
+            print(f"partition {name}: reached the floor {floor:g}, no rate")
         report["partitions"][name] = {
             "rate_log10_per_iteration": rate,
             "final_residual": history[-1],
         }
-        print(f"partition {name}: decay {rate:.3f} log10/iteration")
     rates = [p["rate_log10_per_iteration"] for p in report["partitions"].values()]
     if len(rates) >= 2:
-        report["rate_ratio"] = rates[0] / rates[1]
+        report["rate_ratio"] = None if None in rates[:2] else rates[0] / rates[1]
     (out / "decay_report.json").write_text(json.dumps(report, indent=2))
     return 0
 
@@ -263,21 +269,16 @@ def cmd_pipeline(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
+def _precond_row(token: str):
+    """(cells, partition counts, frequency) of a precond row."""
+    cells, part, freq = token.split(",")
+    return int(cells), tuple(map(int, part.split("x"))), float(freq)
+
+
 def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
     """GMRES iteration counts for a list of cells,NxM,frequency rows."""
-    rows_spec = cfg.get("precond", "rows")
-    results = []
-    for token in rows_spec.split(";"):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            cells_s, part_s, freq_s = (t.strip() for t in token.split(","))
-            cells = int(cells_s)
-            counts = tuple(int(t) for t in part_s.split("x"))
-            freq = float(freq_s)
-        except ValueError:
-            raise ConfigurationError(f"bad precond row {token!r}") from None
+    rows = []
+    for cells, counts, freq in cfg.getentries("precond", "rows", ";", _precond_row):
         sub = RunConfig(
             {sec: dict(kv) for sec, kv in cfg.values.items()}, cfg.path
         )
@@ -285,6 +286,13 @@ def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
         sub.values.setdefault("partition", {})["counts"] = ",".join(map(str, counts))
         sub.values.setdefault("discretization", {})["interior_cells"] = str(cells)
         sub.values.setdefault("solver", {})["mode"] = "gmres-ddm"
+        grid = sub.build_grid()  # a bad row exits 2 before the first solve
+        sub.build_partition(grid)
+        sub.build_profile(grid)
+        rows.append((cells, counts, freq, sub))
+    results = []
+    for cells, counts, freq, sub in rows:
+        name = "x".join(map(str, counts))
         grid, partition, operators, gop = _build_problem(sub, (cells,) * sub.dim)
         interior = sub.interior_extents()
         shots = [
@@ -293,9 +301,9 @@ def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
         ]
         f = point_shots(grid, shots, interior)
         u, info, _, krylov_report = _solve_once(sub, f, partition, operators, gop)
-        results.append((cells, "x".join(map(str, counts)), freq, info["n_iter"],
-                        info["converged"], info["wall_time"]))
-        print(f"cells {cells} partition {part_s} freq {freq}: "
+        results.append((cells, name, freq, info["n_iter"], info["converged"],
+                        info["wall_time"]))
+        print(f"cells {cells} partition {name} freq {freq}: "
               f"n_iter {info['n_iter']} converged {info['converged']}")
     with _open_csv(out / "precond_study.csv", cfg) as fh:
         writer = csv.writer(fh)

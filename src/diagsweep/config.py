@@ -15,9 +15,10 @@ A run is described by a flat INI file with the sections
 
 Environment variables of the form DIAGSWEEP_<SECTION>_<KEY> override file
 values, and explicit overrides (command-line) override both.  Validation
-errors carry the file name and line number of the offending key when it came
-from the file.  The resolved configuration has a stable SHA-256 hash that the
-CLI stamps into every artifact it writes.
+errors carry the file name and line number of the offending key when its value
+came from the file, and name it as [section] key otherwise.  The resolved
+configuration has a stable SHA-256 hash that the CLI stamps into every
+artifact it writes.
 """
 
 from __future__ import annotations
@@ -94,18 +95,16 @@ class RunConfig:
                 f"{self._where(section, key)}: {key} must be {what}, got {value}"
             )
 
-    def get(self, section: str, key: str, default: str | None = None) -> str:
+    def get(self, section: str, key: str) -> str:
         try:
             return self.values[section][key]
         except KeyError:
-            if default is not None:
-                return default
             raise ConfigurationError(
                 f"missing configuration key [{section}] {key}"
             ) from None
 
-    def _typed(self, section, key, cast, kind, default):
-        raw = self.get(section, key, default)
+    def _typed(self, section, key, cast, kind):
+        raw = self.get(section, key)
         try:
             return cast(raw)
         except ValueError:
@@ -113,47 +112,40 @@ class RunConfig:
                 f"{self._where(section, key)}: expected {kind}, got {raw!r}"
             ) from None
 
-    def getint(self, section, key, default=None):
-        return self._typed(section, key, int, "an integer", default)
+    def getint(self, section, key):
+        return self._typed(section, key, int, "an integer")
 
-    def getfloat(self, section, key, default=None):
-        return self._typed(section, key, float, "a number", default)
+    def getfloat(self, section, key):
+        return self._typed(section, key, float, "a number")
 
-    def getbool(self, section, key, default=None):
-        raw = self.get(section, key, default).strip().lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        raise ConfigurationError(
-            f"{self._where(section, key)}: expected a boolean, got {raw!r}"
-        )
-
-    def getlist(self, section, key, cast=str, default=None):
-        raw = self.get(section, key, default)
-        items = [t.strip() for t in raw.split(",") if t.strip()]
+    def getbool(self, section, key):
+        raw = self.get(section, key).strip().lower()
         try:
-            return [cast(t) for t in items]
-        except ValueError:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw]
+        except KeyError:
             raise ConfigurationError(
-                f"{self._where(section, key)}: bad list entry in {raw!r}"
+                f"{self._where(section, key)}: expected a boolean, got {raw!r}"
             ) from None
 
-    def getpairs(self, section, key, default=None):
-        """Semicolon-separated list of comma-separated float tuples."""
-        raw = self.get(section, key, default)
+    def getentries(self, section, key, sep, parse):
+        """The non-empty `sep`-separated entries, each read by `parse`, which
+        raises ValueError on a bad one."""
         out = []
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
+        for token in filter(None, map(str.strip, self.get(section, key).split(sep))):
             try:
-                out.append(tuple(float(t) for t in part.split(",")))
+                out.append(parse(token))
             except ValueError:
                 raise ConfigurationError(
-                    f"{self._where(section, key)}: bad tuple {part!r}"
+                    f"{self._where(section, key)}: bad entry {token!r}"
                 ) from None
         return out
+
+    def getlist(self, section, key, cast=str):
+        return self.getentries(section, key, ",", cast)
+
+    def getpairs(self, section, key):
+        """Semicolon-separated list of comma-separated float tuples."""
+        return self.getentries(section, key, ";", lambda t: tuple(map(float, t.split(","))))
 
     @property
     def sha256(self) -> str:
@@ -206,6 +198,8 @@ class RunConfig:
     def build_grid(self, interior_cells: tuple[int, ...] | None = None) -> Grid:
         """Grid covering the interior box plus the global PML collar."""
         cells = interior_cells or self.interior_cells()
+        if any(c < 1 for c in cells):
+            raise ConfigurationError(f"interior cells must be >= 1, got {cells}")
         pml = self.getint("discretization", "pml_points")
         extents, counts = [], []
         for (a, b), n in zip(self.interior_extents(), cells):
@@ -230,7 +224,8 @@ class RunConfig:
             self.getint("discretization", "pml_points"),
         )
 
-    def build_profile(self) -> PmlProfile:
+    def build_profile(self, grid: Grid) -> PmlProfile:
+        """The absorption profile tuned to the interior mesh spacing of `grid`."""
         pml = self.getint("discretization", "pml_points")
         self._require(pml >= 1, "discretization", "pml_points", ">= 1", pml)
         d = self.getint("discretization", "overlap_points")
@@ -241,7 +236,8 @@ class RunConfig:
             "discretization", "damping", "finite and > 0", damping,
         )
         h = min(
-            (b - a) / n for (a, b), n in zip(self.interior_extents(), self.interior_cells())
+            (b - a) / (m - 1 - 2 * pml)
+            for (a, b), m in zip(self.interior_extents(), grid.counts)
         )
         sigma = tuned_sigma_max(self.omega, pml * h, exponent, damping)
         return PmlProfile(pml, d, sigma, exponent)
@@ -318,19 +314,22 @@ class RunConfig:
             self.getfloat("pipeline", "transfer_cost"),
         )
 
+    def decay_settings(self) -> tuple[int, int, float]:
+        """The validated iterations, fit_skip and floor of the decay study."""
+        skip = self.getint("decay", "fit_skip")
+        self._require(skip >= 0, "decay", "fit_skip", ">= 0", skip)
+        n_it = self.getint("decay", "iterations")
+        self._require(n_it >= skip + 2, "decay", "iterations", "fit_skip + 2 or more", n_it)
+        floor = self.getfloat("decay", "floor")
+        self._require(
+            np.isfinite(floor) and floor >= 0, "decay", "floor", "finite and >= 0", floor
+        )
+        return n_it, skip, floor
+
     def decay_partitions(self) -> list[tuple[int, ...]]:
-        out = []
-        for token in self.get("decay", "partitions").split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                out.append(tuple(int(t) for t in token.split("x")))
-            except ValueError:
-                raise ConfigurationError(
-                    f"{self._where('decay', 'partitions')}: bad partition {token!r}"
-                ) from None
-        return out
+        return self.getentries(
+            "decay", "partitions", ";", lambda t: tuple(map(int, t.split("x")))
+        )
 
 
 def _key_lines(path: Path) -> dict[tuple[str, str], int]:
@@ -344,7 +343,7 @@ def _key_lines(path: Path) -> dict[tuple[str, str], int]:
             continue
         m = re.match(r"([^=:#;][^=:]*)[=:]", stripped)
         if m and section is not None:
-            lines[(section, m.group(1).strip())] = lineno
+            lines[(section, m.group(1).strip().lower())] = lineno  # as configparser keys
     return lines
 
 
@@ -382,10 +381,13 @@ def load_config(
             if rest.startswith(sec_upper + "_"):
                 key = rest[len(sec_upper) + 1 :].lower()
                 values.setdefault(sec, {})[key] = value
+                # the file line no longer holds the value an error is about
+                key_lines.pop((sec, key), None)
                 break
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:
             raise ConfigurationError(f"override {dotted!r} is not section.key")
         section, key = dotted.split(".", 1)
         values.setdefault(section, {})[key] = value
+        key_lines.pop((section, key), None)
     return RunConfig(values, path, key_lines)

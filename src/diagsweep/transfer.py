@@ -46,6 +46,7 @@ Which sweep may consume a transferred source is decided by two rules:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +79,11 @@ def similar_direction(d1, d2, dim: int) -> bool:
     return dot > 0 and all(a * b >= 0 for a, b in zip(d1, d2))
 
 
-def _projections(dim: int):
-    if dim == 2:
-        return ((0, 1),)
-    return ((0, 1), (0, 2), (1, 2))
-
-
 def rule_allows(src_dir, gen_sweep_dir, use_sweep_dir, dim: int) -> bool:
     """Whether a source generated in one sweep may be consumed in another."""
     if not similar_direction(src_dir, use_sweep_dir, dim):
         return False
-    for axes in _projections(dim):
+    for axes in itertools.combinations(range(dim), 2):
         src = tuple(src_dir[a] for a in axes)
         gen = tuple(gen_sweep_dir[a] for a in axes)
         use = tuple(use_sweep_dir[a] for a in axes)

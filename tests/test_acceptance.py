@@ -24,7 +24,7 @@ from diagsweep.ddm import (
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import constant_model, gaussian_source
 from diagsweep.partition import make_partition, source_directions
-from diagsweep.pipeline import PipelineSpec, average_time_diagonal, average_time_recursive, simulate_pipeline
+from diagsweep.pipeline import PipelineSpec, average_time_diagonal, average_time_recursive
 from diagsweep.pml import PmlProfile, assemble_operator, tuned_sigma_max
 from diagsweep.subdomain import FactorizationCache, SeparableFactorization, factorize
 from diagsweep.transfer import rule_allows
@@ -290,13 +290,12 @@ def test_criterion_7_three_layer_decay(capsys):
     )
 
 
-def test_criterion_8_pipeline_model(capsys):
+def test_criterion_8_pipeline_model(capsys, saturated_pipeline):
     counts = (4, 4, 4)
     spec = PipelineSpec(counts, 2 * (sum(counts) - 2), 10)
     overhead = average_time_diagonal(spec) / (8 * 10 * spec.t0) - 1.0
     overhead_ok = overhead == pytest.approx(0.00625, abs=1e-15)
-    sat = PipelineSpec((3, 3, 3), 100 * 7, 10)
-    schedule = simulate_pipeline(sat)
+    _, schedule = saturated_pipeline  # PipelineSpec((3, 3, 3), 100 * 7, 10)
     sim_rel = abs(schedule.avg_per_rhs - schedule.formula_avg) / schedule.formula_avg
     sim_ok = sim_rel < 1e-3
     compare_ok = True

@@ -15,6 +15,7 @@ from diagsweep.ddm import check_source
 from diagsweep.errors import SolverError
 from diagsweep.grid import load_field
 from diagsweep.media import RasterModel, save_velocity
+from diagsweep.pml import tuned_sigma_max
 
 SMALL = """
 [problem]
@@ -234,9 +235,10 @@ NOT_FINITE_AND_POSITIVE = st.one_of(
 
 def _exits_2_without_traceback(capsys, args, message):
     assert _run(args) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("configuration error:") and message in err
     assert "Traceback" not in err
+    assert out == ""  # nothing was solved
 
 
 @given(key=st.sampled_from(("problem.speed", "solver.tol", "discretization.damping")),
@@ -361,6 +363,37 @@ def test_any_degenerate_raster_sidecar_exits_2(tmp_path, capsys, axis, sidecar):
     )
 
 
+BAD_CELLS = st.integers(max_value=0)
+BAD_COUNTS = st.one_of(
+    st.tuples(st.integers(max_value=0), st.integers(1, 2)),
+    st.tuples(st.integers(1, 2), st.integers(max_value=0)),
+    st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(lambda c: len(c) != 2),
+).map(lambda counts: "x".join(map(str, counts)))
+STUDIES = {  # command, key, good entries, list separator, strategy of a bad entry
+    "convergence": ("convergence.meshes", ["40", "80"], ",", st.one_of(
+        BAD_CELLS.map(str), st.sampled_from(("40", "80")),  # a repeated mesh has no rate
+    )),
+    "decay": ("decay.partitions", ["2x2", "1x2"], ";", BAD_COUNTS),
+    "precond-study": ("precond.rows", ["40,2x2,4", "80,2x2,8"], ";", st.one_of(
+        BAD_CELLS.map(lambda cells: f"{cells},2x2,4"),
+        BAD_COUNTS.map(lambda counts: f"40,{counts},4"),
+    )),
+}
+
+
+@given(command=st.sampled_from(sorted(STUDIES)), data=st.data())
+@FUZZ
+def test_any_bad_study_entry_exits_2_before_solving(small_ini, tmp_path, capsys, command,
+                                                     data):
+    key, entries, sep, bad = STUDIES[command]
+    entries = list(entries)
+    entries.insert(data.draw(st.integers(0, len(entries))), data.draw(bad))
+    _exits_2_without_traceback(
+        capsys, [command, "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"{key}={sep.join(entries)}"], "",
+    )
+
+
 def test_convergence_study(small_ini, tmp_path):
     out = tmp_path / "out"
     assert _run(["convergence", "--config", small_ini, "--out", out,
@@ -382,6 +415,26 @@ def test_convergence_study(small_ini, tmp_path):
                  "--set", "convergence.meshes=40,80",
                  "--set", "problem.source=shots",
                  "--set", "problem.shots=0.5,0.5"]) == EXIT_CONFIG
+
+
+def test_convergence_study_tunes_each_mesh(small_ini, tmp_path, monkeypatch):
+    """Every mesh of the study is solved at the configured damping: its PML
+    amplitude is tuned to its own spacing, not to interior_cells'."""
+    import diagsweep.cli as cli
+
+    build_operators, seen = cli.build_operators, {}
+
+    def recording(partition, profile, model, omega):
+        seen[partition.grid.counts[0]] = profile.sigma_max
+        return build_operators(partition, profile, model, omega)
+
+    monkeypatch.setattr(cli, "build_operators", recording)
+    assert _run(["convergence", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", "convergence.meshes=40,60",
+                 "--set", "solver.mode=direct-ddm"]) == 0
+    # SMALL: frequency 4, 8 PML points on each side of a unit interior
+    omega = 2 * math.pi * 4
+    assert seen == {cells + 17: tuned_sigma_max(omega, 8 * (1 / cells)) for cells in (40, 60)}
 
 
 def test_convergence_study_off_unit_speed(small_ini, tmp_path):
@@ -412,6 +465,34 @@ def test_decay_command(small_ini, tmp_path):
         lines = (out / f"decay_{name}.csv").read_text().splitlines()
         assert len(lines) == 2 + 8
         assert report["partitions"][name]["rate_log10_per_iteration"] < 0
+
+
+def test_decay_partition_at_the_floor_has_no_rate(small_ini, tmp_path):
+    """A partition that converges before enough residuals above the floor is
+    reported without a rate; the study still succeeds."""
+    out = tmp_path / "out"
+    assert _run(["decay", "--config", small_ini, "--out", out, "--threads", 1,
+                 "--set", "decay.iterations=8",
+                 "--set", "decay.partitions=2x2;1x2"]) == 0
+    report = json.loads((out / "decay_report.json").read_text())
+    assert round(report["partitions"]["2x2"]["rate_log10_per_iteration"], 3) == -4.307
+    assert report["partitions"]["1x2"]["rate_log10_per_iteration"] is None
+    assert report["rate_ratio"] is None
+    for name in ("2x2", "1x2"):
+        assert len((out / f"decay_{name}.csv").read_text().splitlines()) == 2 + 8
+
+
+@pytest.mark.parametrize("setting, message", (
+    ("decay.fit_skip=-1", "fit_skip must be >= 0"),
+    ("decay.iterations=3", "iterations must be fit_skip + 2 or more"),
+    ("decay.floor=nan", "floor must be finite and >= 0"),
+    ("decay.floor=-1e-13", "floor must be finite and >= 0"),
+))
+def test_bad_decay_fit_exits_2(small_ini, tmp_path, capsys, setting, message):
+    _exits_2_without_traceback(
+        capsys, ["decay", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", setting], message,
+    )
 
 
 def test_decay_random_shots_follow_seed(small_ini, tmp_path):

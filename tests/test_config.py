@@ -6,7 +6,7 @@ import pytest
 from diagsweep.config import RunConfig, load_config
 from diagsweep.errors import ConfigurationError
 from diagsweep.media import LayeredModel
-from diagsweep.pml import DEFAULT_DAMPING
+from diagsweep.pml import DEFAULT_DAMPING, tuned_sigma_max
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -54,6 +54,27 @@ def test_diagnostics_carry_file_and_line(tmp_path):
     cfg = load_config(path, environ={})
     with pytest.raises(ConfigurationError, match=r"run\.ini:5.*integer"):
         cfg.getint("discretization", "pml_points")
+
+
+def test_overridden_value_is_named_by_key(tmp_path):
+    """A bad value from the environment or an override names its key; the
+    file line it replaced had nothing to do with it."""
+    path = _write(
+        tmp_path,
+        "[discretization]\ninterior_cells = 40\n\n[solver]\ntol = 1e-6\n",
+    )
+    cfg = load_config(path, environ={}, overrides={"discretization.interior_cells": "x"})
+    with pytest.raises(ConfigurationError) as err:
+        cfg.interior_cells()
+    assert str(err.value).startswith("[discretization] interior_cells: bad entry 'x'")
+    cfg = load_config(path, environ={"DIAGSWEEP_SOLVER_TOL": "-1"})
+    with pytest.raises(ConfigurationError) as err:
+        cfg.gmres_settings()
+    assert str(err.value).startswith("[solver] tol: tol must be finite and > 0")
+    # a bad value in the file still cites its line, however its key is cased
+    bad = _write(tmp_path, "[solver]\nmode = gmres-ddm\nTol = -1\n", "bad.ini")
+    with pytest.raises(ConfigurationError, match=r"bad\.ini:3: tol must be"):
+        load_config(bad, environ={}).gmres_settings()
 
 
 def test_typed_accessors():
@@ -123,11 +144,25 @@ def test_model_and_profile_builders():
     })
     model = cfg.build_model()
     assert isinstance(model, LayeredModel)
-    profile = cfg.build_profile()
+    profile = cfg.build_profile(cfg.build_grid())
     assert profile.pml_width_points == 12
     h = 1.0 / 40
     expected = DEFAULT_DAMPING * 3 / (2 * cfg.omega * 12 * h)
     assert profile.sigma_max == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("cells", ((60, 60), (90, 90), (30, 45)))
+def test_profile_is_tuned_to_the_grid_mesh(cells):
+    """The PML damping is that of the mesh solved, not of interior_cells."""
+    cfg = load_config(environ={}, overrides={
+        "problem.interior": "0,1; 0,2",
+        "discretization.interior_cells": "60",
+        "discretization.damping": "20",
+        "discretization.exponent": "3",
+    })
+    profile = cfg.build_profile(cfg.build_grid(cells))
+    h = min(1.0 / cells[0], 2.0 / cells[1])
+    assert profile.sigma_max == tuned_sigma_max(cfg.omega, 12 * h, 3, 20.0)
 
 
 def test_cells_broadcast_and_partition_counts():

@@ -78,6 +78,10 @@ def test_dump_load_round_trip(tmp_path):
     v = load_field(path)
     assert v.grid == grid
     np.testing.assert_array_equal(u.values, v.values)
+    # the file is (re, im) little-endian float64 pairs, x fastest
+    raw = np.fromfile(path, dtype="<f8")
+    np.testing.assert_array_equal(raw[0::2], u.values.real.ravel(order="F"))
+    np.testing.assert_array_equal(raw[1::2], u.values.imag.ravel(order="F"))
 
 
 def test_pgm_quicklook(tmp_path):

@@ -54,6 +54,37 @@ def test_raster_model_interpolation_and_io(tmp_path):
         RasterModel(((0, 1), (0, 1)), np.array([[1.0, -2.0], [1.0, 1.0]], np.float32))
 
 
+def test_raster_model_is_multilinear():
+    """Against an independent multilinear interpolator, at points inside and
+    outside a 9x7x5 raster (outside, the nearest raster point's speed)."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(3)
+    extents = ((0.0, 1.0), (-0.5, 0.5), (0.2, 2.0))
+    samples = rng.uniform(1.0, 3.0, (9, 7, 5)).astype(np.float32)
+    pts = rng.uniform(-0.7, 2.2, (200, 3))
+    axes = [np.linspace(a, b, n) for (a, b), n in zip(extents, samples.shape)]
+    clipped = np.clip(pts, [a for a, _ in extents], [b for _, b in extents])
+    expected = RegularGridInterpolator(axes, samples.astype(np.float64))(clipped)
+    got = RasterModel(extents, samples).speed_at(pts)
+    np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("counts", ((1, 5), (4, 1)))
+def test_raster_model_one_sample_axis(counts):
+    """A one-sample axis is constant along it: the speeds are exactly the
+    1D interpolation along the other axis."""
+    samples = np.arange(1.0, 1.0 + np.prod(counts), dtype=np.float32).reshape(counts)
+    m = RasterModel(((0.0, 1.0), (0.0, 1.0)), samples)
+    along = 0 if counts[0] > 1 else 1
+    t = np.linspace(0.0, 1.0, 2 * max(counts) - 1)  # the nodes and the midpoints
+    pts = np.zeros((t.size, 2))
+    pts[:, along] = t
+    pts[:, 1 - along] = np.linspace(-1.0, 2.0, t.size)
+    expected = np.interp(t, np.linspace(0.0, 1.0, max(counts)), samples.ravel())
+    np.testing.assert_array_equal(m.speed_at(pts), expected)
+
+
 @pytest.mark.parametrize("speed", (float("nan"), float("inf")))
 @pytest.mark.parametrize("build", (
     constant_model,

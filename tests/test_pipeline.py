@@ -55,10 +55,8 @@ def test_single_rhs_makespan_is_sequential():
     assert schedule.makespan == pytest.approx(12.0)
 
 
-def test_saturated_simulation_matches_formula():
-    counts = (3, 3, 3)
-    spec = PipelineSpec(counts, 100 * (sum(counts) - 2), 10)
-    schedule = simulate_pipeline(spec)
+def test_saturated_simulation_matches_formula(saturated_pipeline):
+    spec, schedule = saturated_pipeline
     rel = abs(schedule.avg_per_rhs - schedule.formula_avg) / schedule.formula_avg
     assert rel < 1e-3
     # the bottleneck cores run with no internal idle time

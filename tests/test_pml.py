@@ -13,7 +13,6 @@ from diagsweep.pml import (
     DEFAULT_DAMPING,
     PmlProfile,
     assemble_operator,
-    dense_tridiagonal,
     tuned_sigma_max,
 )
 
@@ -204,8 +203,10 @@ def test_kronecker_sum_structure():
     op = assemble_operator(grid, win, Window((5, 5), (15, 15)), profile,
                            constant_model(1.0), 6.0)
     n = win.shape[0]
-    T1 = dense_tridiagonal(*op.tridiagonal(0))
-    T2 = dense_tridiagonal(*op.tridiagonal(1))
+    T1, T2 = (
+        np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        for lower, diag, upper in map(op.tridiagonal, (0, 1))
+    )
     eye = np.eye(n)
     dense = np.kron(T1, eye) + np.kron(eye, T2) + op.kappa2 * np.eye(n * n)
     np.testing.assert_allclose(op.to_sparse().toarray(), dense, atol=1e-12)

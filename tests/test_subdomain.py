@@ -13,7 +13,7 @@ from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.grid import Window, make_grid
 from diagsweep.media import RasterModel, constant_model, layered_model
 from diagsweep.partition import make_partition
-from diagsweep.pml import PmlProfile, assemble_operator, dense_tridiagonal
+from diagsweep.pml import PmlProfile, assemble_operator
 from diagsweep.subdomain import (
     FactorizationCache,
     SeparableFactorization,
@@ -117,7 +117,10 @@ def _one_call(A, B, C):
 def _two_sided_schur_solve(op, rhs):
     """The 2D solve with both axes triangularized: one triangular Sylvester
     equation between two Schur factors, kappa^2 folded in the same way."""
-    T = [dense_tridiagonal(*op.tridiagonal(a)) for a in range(2)]
+    T = [
+        np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        for lower, diag, upper in map(op.tridiagonal, range(2))
+    ]
     axis = next((a for a, n in enumerate(op.kappa2.shape) if n > 1), 1)
     T[axis][np.diag_indices(len(T[axis]))] += op.kappa2.ravel()
     R1, Q1 = schur(T[0], output="complex")
