@@ -12,8 +12,9 @@ Every run reads an INI config (see `config`), applies DIAGSWEEP_* environment
 overrides and --set flags, and writes its artifacts under --out.  All tables
 carry the resolved config hash in a header comment.  With one BLAS thread
 the numerical artifacts (field.f64le, quicklook.pgm, convergence.csv,
-decay_*.csv) are bit-for-bit reproducible for a fixed config and seed; timing
-fields (wall_time, the *_s seconds, cumulative_seconds) vary from run to run.
+decay_*.csv, precond_study.csv without wall_time, pipeline_report.json) are
+bit-for-bit reproducible for a fixed config and seed; timing fields
+(wall_time, the *_s seconds, cumulative_seconds) vary from run to run.
 --threads caps BLAS threads through threadpoolctl when it is installed, and
 otherwise calls openblas_set_num_threads in every OpenBLAS library loaded in
 the process (numpy and scipy wheels each bundle one); `solve` writes the
@@ -54,9 +55,9 @@ EXIT_IO = 4
 _LAYER_SECONDS = ("solve_s", "transfer_s", "blend_s")
 
 
-def _build_problem(cfg: RunConfig, counts=None, partition_counts=None):
-    grid = cfg.build_grid(counts)
-    partition = cfg.build_partition(grid, partition_counts)
+def _build_problem(cfg: RunConfig):
+    grid = cfg.build_grid()
+    partition = cfg.build_partition(grid)
     profile = cfg.build_profile(grid)
     model = cfg.build_model()
     operators = build_operators(partition, profile, model, cfg.omega)
@@ -70,11 +71,10 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
     cache = FactorizationCache()
     full = partition.grid.full_window()
     info = {"mode": mode, "config_sha256": cfg.sha256}
-    krylov_report = None
+    ddm_report = krylov_report = None
     t0 = time.perf_counter()
     if mode == "global-direct":
         u = ComplexField(partition.grid, factorize(gop).solve(f))
-        ddm_report = None
     elif mode == "direct-ddm":
         u, ddm_report = diagonal_sweep_solve(
             f, partition, operators, cache, record_events=record_events
@@ -97,7 +97,6 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
             lambda v: gop.apply(v, region=full), apply_m, f, **cfg.gmres_settings()
         )
         u = ComplexField(partition.grid, values)
-        ddm_report = None
         info["n_iter"] = krylov_report.n_iter
         info["converged"] = krylov_report.converged
         info["final_residual"] = krylov_report.residuals[-1]
@@ -114,10 +113,33 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
     return u, info, ddm_report, krylov_report
 
 
-def _open_csv(path, cfg: RunConfig):
-    fh = open(path, "w", newline="")
-    fh.write(f"# config sha256: {cfg.sha256}\n")
-    return fh
+def _study(cfg: RunConfig, section: str, key: str, sep: str, parse, values) -> list:
+    """(entry, variant) of each entry of the study list [section] key, read by
+    `parse`; the variant is `cfg` with the config `values(entry)`.  Each grid,
+    partition and profile is built here, so an empty list or a bad entry exits
+    2 before the first solve, naming the key and the entry."""
+    tokens = cfg.getentries(section, key, sep, lambda token: (token, parse(token)))
+    cfg._require(bool(tokens), section, key, "a non-empty list", tokens)
+    variants = []
+    for token, entry in tokens:
+        sub = cfg.with_values(values(entry))
+        try:
+            grid = sub.build_grid()
+            sub.build_partition(grid)
+            sub.build_profile(grid)
+        except (ConfigurationError, ModelError) as exc:
+            where = cfg._where(section, key)
+            raise type(exc)(f"{where}: {key} entry {token!r}: {exc}") from None
+        variants.append((entry, sub))
+    return variants
+
+
+def _write_csv(path, cfg: RunConfig, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config sha256: {cfg.sha256}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
@@ -146,9 +168,11 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
-    meshes = cfg.getlist("convergence", "meshes", int)
-    if len(meshes) < 2 or len(set(meshes)) < len(meshes):
-        raise ConfigurationError("convergence study needs at least 2 distinct meshes")
+    variants = _study(cfg, "convergence", "meshes", ",", int,
+                      lambda cells: {"discretization.interior_cells": str(cells)})
+    meshes = [cells for cells, _ in variants]
+    ok = len(set(meshes)) == len(meshes) >= 2
+    cfg._require(ok, "convergence", "meshes", "2 or more distinct meshes", meshes)
     if cfg.get("problem", "medium") != "constant":
         raise ConfigurationError("convergence study requires a constant medium")
     if cfg.get("problem", "source") != "gaussian":
@@ -157,36 +181,32 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     kappa = cfg.omega / cfg.getfloat("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
-    for cells in meshes:  # a bad mesh exits 2 before the first solve
-        cfg.build_partition(cfg.build_grid((cells,) * cfg.dim))
-    rows = []
-    for cells in meshes:
-        grid, partition, operators, gop = _build_problem(cfg, (cells,) * cfg.dim)
-        f = cfg.build_source(grid, rng)
-        u, info, _, _ = _solve_once(cfg, f, partition, operators, gop)
+    table, prev = [], None
+    for cells, sub in variants:
+        grid, partition, operators, gop = _build_problem(sub)
+        f = sub.build_source(grid, rng)
+        u, _, _, _ = _solve_once(sub, f, partition, operators, gop)
         ref = radial_solution(grid, center, kappa, profile=source)
+        h = min(grid.spacing)
         l2 = field_error(u, ref, "L2", region=partition.interior)
         h1 = field_error(u, ref, "H1", region=partition.interior)
-        rows.append((cells, min(grid.spacing), l2, h1))
         print(f"mesh {cells}: L2 {l2:.3e} H1 {h1:.3e}")
-    with _open_csv(out / "convergence.csv", cfg) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mesh", "h", "l2_error", "l2_rate", "h1_error", "h1_rate"])
-        for k, (cells, h, l2, h1) in enumerate(rows):
-            if k == 0:
-                r2 = rh = ""
-            else:
-                scale = np.log(rows[k - 1][1] / h)
-                r2 = f"{np.log(rows[k - 1][2] / l2) / scale:.2f}"
-                rh = f"{np.log(rows[k - 1][3] / h1) / scale:.2f}"
-            writer.writerow([cells, f"{h:.6e}", f"{l2:.6e}", r2, f"{h1:.6e}", rh])
+        r2 = rh = ""
+        if prev is not None:
+            scale = np.log(prev[0] / h)
+            r2 = f"{np.log(prev[1] / l2) / scale:.2f}"
+            rh = f"{np.log(prev[2] / h1) / scale:.2f}"
+        prev = h, l2, h1
+        table.append([cells, f"{h:.6e}", f"{l2:.6e}", r2, f"{h1:.6e}", rh])
+    _write_csv(out / "convergence.csv", cfg,
+               ["mesh", "h", "l2_error", "l2_rate", "h1_error", "h1_rate"], table)
     return 0
 
 
-def decay_history(cfg: RunConfig, f, counts, n_it: int):
+def decay_history(cfg: RunConfig, f, n_it: int):
     """Iterative-mode relative residual over `n_it` iterations of the source
-    `f` (on the config's grid) for one partition."""
-    grid, partition, operators, gop = _build_problem(cfg, partition_counts=counts)
+    `f` (on the config's grid) for the config's partition."""
+    grid, partition, operators, gop = _build_problem(cfg)
     cache = FactorizationCache()
     full = grid.full_window()
     u = np.zeros(grid.counts, dtype=np.complex128)
@@ -211,23 +231,20 @@ def fit_decay_rate(history, skip: int, floor: float) -> float:
 
 
 def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
-    partitions = cfg.decay_partitions()
     n_it, skip, floor = cfg.decay_settings()
-    for counts in partitions:  # a bad partition exits 2 before the first solve
-        cfg.build_partition(cfg.build_grid(), counts)
+    variants = _study(cfg, "decay", "partitions", ";",
+                      lambda token: tuple(map(int, token.split("x"))),
+                      lambda counts: {"partition.counts": ",".join(map(str, counts))})
     report = {"config_sha256": cfg.sha256, "partitions": {}}
     if cfg.get("problem", "source") == "shots":
         report["shots"] = cfg.getpairs("problem", "shots")
     # one draw, so that every partition solves the same (seeded) source
     f = cfg.build_source(cfg.build_grid(), rng)
-    for counts in partitions:
+    for counts, sub in variants:
         name = "x".join(map(str, counts))
-        history = decay_history(cfg, f, counts, n_it)
-        with _open_csv(out / f"decay_{name}.csv", cfg) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "relative_residual"])
-            for k, res in enumerate(history):
-                writer.writerow([k, f"{res:.6e}"])
+        history = decay_history(sub, f, n_it)
+        _write_csv(out / f"decay_{name}.csv", cfg, ["iteration", "relative_residual"],
+                   [(k, f"{res:.6e}") for k, res in enumerate(history)])
         try:
             rate = fit_decay_rate(history, skip, floor)
             print(f"partition {name}: decay {rate:.3f} log10/iteration")
@@ -277,40 +294,30 @@ def _precond_row(token: str):
 
 def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
     """GMRES iteration counts for a list of cells,NxM,frequency rows."""
-    rows = []
-    for cells, counts, freq in cfg.getentries("precond", "rows", ";", _precond_row):
-        sub = RunConfig(
-            {sec: dict(kv) for sec, kv in cfg.values.items()}, cfg.path
-        )
-        sub.values.setdefault("problem", {})["frequency"] = repr(freq)
-        sub.values.setdefault("partition", {})["counts"] = ",".join(map(str, counts))
-        sub.values.setdefault("discretization", {})["interior_cells"] = str(cells)
-        sub.values.setdefault("solver", {})["mode"] = "gmres-ddm"
-        grid = sub.build_grid()  # a bad row exits 2 before the first solve
-        sub.build_partition(grid)
-        sub.build_profile(grid)
-        rows.append((cells, counts, freq, sub))
+    variants = _study(cfg, "precond", "rows", ";", _precond_row, lambda row: {
+        "discretization.interior_cells": str(row[0]),
+        "partition.counts": ",".join(map(str, row[1])),
+        "problem.frequency": repr(row[2]),
+        "solver.mode": "gmres-ddm",
+    })
     results = []
-    for cells, counts, freq, sub in rows:
+    for (cells, counts, freq), sub in variants:
         name = "x".join(map(str, counts))
-        grid, partition, operators, gop = _build_problem(sub, (cells,) * sub.dim)
+        grid, partition, operators, gop = _build_problem(sub)
         interior = sub.interior_extents()
         shots = [
             tuple(a + t * (b - a) for (a, b), t in zip(interior, frac))
             for frac in itertools.product((0.25, 0.75), repeat=sub.dim)
         ]
         f = point_shots(grid, shots, interior)
-        u, info, _, krylov_report = _solve_once(sub, f, partition, operators, gop)
+        _, info, _, _ = _solve_once(sub, f, partition, operators, gop)
         results.append((cells, name, freq, info["n_iter"], info["converged"],
                         info["wall_time"]))
         print(f"cells {cells} partition {name} freq {freq}: "
               f"n_iter {info['n_iter']} converged {info['converged']}")
-    with _open_csv(out / "precond_study.csv", cfg) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cells", "partition", "frequency", "n_iter", "converged",
-                         "wall_time"])
-        for row in results:
-            writer.writerow(row)
+    _write_csv(out / "precond_study.csv", cfg,
+               ["cells", "partition", "frequency", "n_iter", "converged", "wall_time"],
+               results)
     if any(not conv for *_, conv, _ in results):
         return EXIT_NOCONV
     return 0

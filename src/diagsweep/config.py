@@ -12,6 +12,8 @@ A run is described by a flat INI file with the sections
     [convergence]     mesh list for the refinement study
     [decay]           partitions, iteration count and fit window
     [pipeline]        counts, n_rhs, n_iter, t0, transfer_cost
+    [precond]         rows (cells, partition, frequency) of the
+                      preconditioner study
 
 Environment variables of the form DIAGSWEEP_<SECTION>_<KEY> override file
 values, and explicit overrides (command-line) override both.  Validation
@@ -82,6 +84,20 @@ class RunConfig:
     values: dict[str, dict[str, str]]
     path: Path | None = None
     _lines: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
+
+    def with_values(self, values: dict[str, str]) -> RunConfig:
+        """A copy with each "section.key" of `values` replaced.  The copy
+        shares no dict with this config, and a replaced key no longer cites
+        the file line it had."""
+        out = RunConfig({sec: dict(kv) for sec, kv in self.values.items()},
+                        self.path, dict(self._lines))
+        for dotted, value in values.items():
+            if "." not in dotted:
+                raise ConfigurationError(f"override {dotted!r} is not section.key")
+            section, key = dotted.split(".", 1)
+            out.values.setdefault(section, {})[key] = value
+            out._lines.pop((section, key), None)
+        return out
 
     def _where(self, section: str, key: str) -> str:
         lineno = self._lines.get((section, key))
@@ -161,10 +177,7 @@ class RunConfig:
     @property
     def dim(self) -> int:
         dim = self.getint("problem", "dim")
-        if dim not in (2, 3):
-            raise ConfigurationError(
-                f"{self._where('problem', 'dim')}: dim must be 2 or 3, got {dim}"
-            )
+        self._require(dim in (2, 3), "problem", "dim", "2 or 3", dim)
         return dim
 
     @property
@@ -178,28 +191,22 @@ class RunConfig:
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
         pairs = self.getpairs("problem", "interior")
-        if len(pairs) != self.dim or any(len(p) != 2 for p in pairs):
-            raise ConfigurationError(
-                f"{self._where('problem', 'interior')}: need {self.dim} lo,hi pairs"
-            )
-        return tuple((p[0], p[1]) for p in pairs)
+        ok = len(pairs) == self.dim and all(len(p) == 2 for p in pairs)
+        self._require(ok, "problem", "interior", f"{self.dim} lo,hi pairs", pairs)
+        return tuple(pairs)
 
     def interior_cells(self) -> tuple[int, ...]:
         cells = self.getlist("discretization", "interior_cells", int)
         if len(cells) == 1:
             cells = cells * self.dim
-        if len(cells) != self.dim or any(c < 1 for c in cells):
-            raise ConfigurationError(
-                f"{self._where('discretization', 'interior_cells')}: "
-                f"need {self.dim} positive cell counts"
-            )
+        ok = len(cells) == self.dim and min(cells) >= 1
+        what = f"{self.dim} positive cell counts"
+        self._require(ok, "discretization", "interior_cells", what, cells)
         return tuple(cells)
 
-    def build_grid(self, interior_cells: tuple[int, ...] | None = None) -> Grid:
+    def build_grid(self) -> Grid:
         """Grid covering the interior box plus the global PML collar."""
-        cells = interior_cells or self.interior_cells()
-        if any(c < 1 for c in cells):
-            raise ConfigurationError(f"interior cells must be >= 1, got {cells}")
+        cells = self.interior_cells()
         pml = self.getint("discretization", "pml_points")
         extents, counts = [], []
         for (a, b), n in zip(self.interior_extents(), cells):
@@ -210,16 +217,14 @@ class RunConfig:
 
     def partition_counts(self) -> tuple[int, ...]:
         counts = self.getlist("partition", "counts", int)
-        if len(counts) != self.dim:
-            raise ConfigurationError(
-                f"{self._where('partition', 'counts')}: need {self.dim} counts"
-            )
+        ok = len(counts) == self.dim
+        self._require(ok, "partition", "counts", f"{self.dim} counts", counts)
         return tuple(counts)
 
-    def build_partition(self, grid: Grid, counts=None) -> Partition:
+    def build_partition(self, grid: Grid) -> Partition:
         return make_partition(
             grid,
-            counts or self.partition_counts(),
+            self.partition_counts(),
             self.getint("discretization", "overlap_points"),
             self.getint("discretization", "pml_points"),
         )
@@ -305,14 +310,17 @@ class RunConfig:
         return point_shots(grid, locs, interior)
 
     def pipeline_spec(self) -> PipelineSpec:
+        """The pipeline model's spec, each size and cost validated."""
         counts = tuple(self.getlist("pipeline", "counts", int))
-        return PipelineSpec(
-            counts,
-            self.getint("pipeline", "n_rhs"),
-            self.getint("pipeline", "n_iter"),
-            self.getfloat("pipeline", "t0"),
-            self.getfloat("pipeline", "transfer_cost"),
+        n_rhs, n_iter = (self.getint("pipeline", key) for key in ("n_rhs", "n_iter"))
+        self._require(n_rhs >= 1, "pipeline", "n_rhs", ">= 1", n_rhs)
+        self._require(n_iter >= 1, "pipeline", "n_iter", ">= 1", n_iter)
+        t0, tc = (self.getfloat("pipeline", key) for key in ("t0", "transfer_cost"))
+        self._require(np.isfinite(t0) and t0 > 0, "pipeline", "t0", "finite and > 0", t0)
+        self._require(
+            np.isfinite(tc) and tc >= 0, "pipeline", "transfer_cost", "finite and >= 0", tc
         )
+        return PipelineSpec(counts, n_rhs, n_iter, t0, tc)
 
     def decay_settings(self) -> tuple[int, int, float]:
         """The validated iterations, fit_skip and floor of the decay study."""
@@ -325,11 +333,6 @@ class RunConfig:
             np.isfinite(floor) and floor >= 0, "decay", "floor", "finite and >= 0", floor
         )
         return n_it, skip, floor
-
-    def decay_partitions(self) -> list[tuple[int, ...]]:
-        return self.getentries(
-            "decay", "partitions", ";", lambda t: tuple(map(int, t.split("x")))
-        )
 
 
 def _key_lines(path: Path) -> dict[tuple[str, str], int]:
@@ -370,24 +373,12 @@ def load_config(
             values.setdefault(section, {}).update(parser.items(section))
         key_lines = _key_lines(path)
     environ = os.environ if environ is None else environ
-    known = {sec.upper(): sec for sec in values} | {
-        sec.upper(): sec for sec in _DEFAULTS
-    }
+    prefixes = {f"{ENV_PREFIX}{sec.upper()}_": sec for sec in [*values, *_DEFAULTS]}
+    env = {}
     for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        rest = name[len(ENV_PREFIX):]
-        for sec_upper, sec in known.items():
-            if rest.startswith(sec_upper + "_"):
-                key = rest[len(sec_upper) + 1 :].lower()
-                values.setdefault(sec, {})[key] = value
-                # the file line no longer holds the value an error is about
-                key_lines.pop((sec, key), None)
+        for prefix, sec in prefixes.items():
+            if name.startswith(prefix):
+                env[f"{sec}.{name[len(prefix):].lower()}"] = value
                 break
-    for dotted, value in (overrides or {}).items():
-        if "." not in dotted:
-            raise ConfigurationError(f"override {dotted!r} is not section.key")
-        section, key = dotted.split(".", 1)
-        values.setdefault(section, {})[key] = value
-        key_lines.pop((section, key), None)
-    return RunConfig(values, path, key_lines)
+    cfg = RunConfig(values, path, key_lines)
+    return cfg.with_values(env).with_values(overrides or {})

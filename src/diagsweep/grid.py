@@ -105,28 +105,20 @@ def _check_finite(values: np.ndarray):
         raise ValueError("field contains non-finite values")
 
 
-def _l2_sq(values: np.ndarray, cell: float) -> float:
-    return float(np.sum(np.abs(values) ** 2)) * cell
-
-
-def _h1_semi_sq(values: np.ndarray, spacing, cell: float) -> float:
-    total = 0.0
-    for axis, h in enumerate(spacing):
-        diff = np.diff(values, axis=axis) / h
-        total += float(np.sum(np.abs(diff) ** 2)) * cell
-    return total
-
-
 def field_norm(u: ComplexField, kind: str = "L2", region: Window | None = None) -> float:
     """Discrete L2 or H1 norm; H1 adds the forward-difference seminorm."""
     values = u.values if region is None else u.values[region.slices()]
     _check_finite(values)
     cell = math.prod(u.grid.spacing)
-    l2_sq = _l2_sq(values, cell)
+    l2_sq = float(np.vdot(values, values).real) * cell
     if kind == "L2":
         return math.sqrt(l2_sq)
     if kind == "H1":
-        return math.sqrt(l2_sq + _h1_semi_sq(values, u.grid.spacing, cell))
+        semi_sq = 0.0
+        for axis, h in enumerate(u.grid.spacing):
+            diff = np.diff(values, axis=axis) / h
+            semi_sq += float(np.vdot(diff, diff).real) * cell
+        return math.sqrt(l2_sq + semi_sq)
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 from .errors import ConfigurationError
 from .partition import SWEEP_DIRECTIONS, steps_per_sweep, sweep_step_of
@@ -48,8 +48,8 @@ class PipelineSpec:
             raise ConfigurationError(f"bad subdomain counts {self.counts}")
         if self.n_rhs < 1 or self.n_iter < 1:
             raise ConfigurationError("n_rhs and n_iter must be positive")
-        if self.t0 <= 0.0 or self.transfer_cost < 0.0:
-            raise ConfigurationError("t0 must be positive, transfer_cost >= 0")
+        if not (0.0 < self.t0 < inf and 0.0 <= self.transfer_cost < inf):  # NaN fails too
+            raise ConfigurationError("t0 must be finite and > 0, transfer_cost finite >= 0")
 
     @property
     def dim(self) -> int:

@@ -394,6 +394,51 @@ def test_any_bad_study_entry_exits_2_before_solving(small_ini, tmp_path, capsys,
     )
 
 
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_empty_study_list_exits_2(small_ini, tmp_path, capsys, command):
+    key = STUDIES[command][0]
+    section, name = key.split(".")
+    _exits_2_without_traceback(
+        capsys, [command, "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"{key}="],
+        f"[{section}] {name}: {name} must be a non-empty list",
+    )
+
+
+@pytest.mark.parametrize("command, key, value, entry", (
+    ("decay", "decay.partitions", "2x2;0x2", "0x2"),
+    ("precond-study", "precond.rows", "40,2x2,4;0,2x2,4", "0,2x2,4"),
+    ("precond-study", "precond.rows", "40,2x2,4;40,2x3,4", "40,2x3,4"),
+    ("convergence", "convergence.meshes", "40,-3", "-3"),
+))
+def test_bad_study_entry_names_key_and_entry(small_ini, tmp_path, capsys, command, key,
+                                             value, entry):
+    section, name = key.split(".")
+    _exits_2_without_traceback(
+        capsys, [command, "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"{key}={value}"],
+        f"[{section}] {name}: {name} entry {entry!r}: ",
+    )
+
+
+@pytest.mark.parametrize("setting, message", (
+    ("t0=nan", "t0 must be finite and > 0"),
+    ("t0=inf", "t0 must be finite and > 0"),
+    ("t0=0", "t0 must be finite and > 0"),
+    ("transfer_cost=nan", "transfer_cost must be finite and >= 0"),
+    ("transfer_cost=-1", "transfer_cost must be finite and >= 0"),
+    ("n_rhs=0", "n_rhs must be >= 1"),
+    ("n_iter=0", "n_iter must be >= 1"),
+))
+def test_bad_pipeline_cost_exits_2(small_ini, tmp_path, capsys, setting, message):
+    _exits_2_without_traceback(
+        capsys, ["pipeline", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", "pipeline.counts=2,2", "--set", "pipeline.n_rhs=3",
+                 "--set", "pipeline.n_iter=1", "--set", f"pipeline.{setting}"],
+        f"[pipeline] {setting.split('=')[0]}: {message}",
+    )
+
+
 def test_convergence_study(small_ini, tmp_path):
     out = tmp_path / "out"
     assert _run(["convergence", "--config", small_ini, "--out", out,

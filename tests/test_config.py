@@ -77,6 +77,29 @@ def test_overridden_value_is_named_by_key(tmp_path):
         load_config(bad, environ={}).gmres_settings()
 
 
+def test_with_values_copies_and_renames_provenance(tmp_path):
+    """A variant shares no dict with its config, and a replaced key is named
+    by [section] key while an untouched key still cites its file line."""
+    path = _write(tmp_path, "[solver]\ntol = -1\nrestart = 0\n")
+    cfg = load_config(path, environ={})
+    before = {sec: dict(kv) for sec, kv in cfg.values.items()}
+    variant = cfg.with_values({"solver.tol": "-2", "precond.rows": "40,2x2,4"})
+    assert cfg.values == before and "precond" not in cfg.values
+    assert variant.values["solver"]["tol"] == "-2"
+    variant.values["solver"]["mode"] = "direct-ddm"
+    assert cfg.values["solver"]["mode"] == before["solver"]["mode"]
+    with pytest.raises(ConfigurationError) as err:
+        variant.gmres_settings()
+    assert str(err.value).startswith("[solver] tol: tol must be finite and > 0, got -2.0")
+    with pytest.raises(ConfigurationError, match=r"run\.ini:2: tol must be"):
+        cfg.gmres_settings()
+    variant = cfg.with_values({"solver.tol": "1e-6"})
+    with pytest.raises(ConfigurationError, match=r"run\.ini:3: restart must be >= 1"):
+        variant.gmres_settings()
+    with pytest.raises(ConfigurationError, match="not section.key"):
+        cfg.with_values({"tol": "1"})
+
+
 def test_typed_accessors():
     cfg = load_config(environ={}, overrides={
         "x.flag": "on", "x.off": "no", "x.list": "1, 2,3", "x.bad": "maybe",
@@ -160,7 +183,8 @@ def test_profile_is_tuned_to_the_grid_mesh(cells):
         "discretization.damping": "20",
         "discretization.exponent": "3",
     })
-    profile = cfg.build_profile(cfg.build_grid(cells))
+    mesh = cfg.with_values({"discretization.interior_cells": ",".join(map(str, cells))})
+    profile = cfg.build_profile(mesh.build_grid())
     h = min(1.0 / cells[0], 2.0 / cells[1])
     assert profile.sigma_max == tuned_sigma_max(cfg.omega, 12 * h, 3, 20.0)
 
@@ -183,10 +207,11 @@ def test_pipeline_and_decay_builders():
     })
     spec = cfg.pipeline_spec()
     assert spec.counts == (3, 3) and spec.n_rhs == 8
-    assert cfg.decay_partitions() == [(3, 3), (1, 2)]
+    counts = lambda t: tuple(map(int, t.split("x")))
+    assert cfg.getentries("decay", "partitions", ";", counts) == [(3, 3), (1, 2)]
     bad = load_config(environ={}, overrides={"decay.partitions": "3by3"})
     with pytest.raises(ConfigurationError):
-        bad.decay_partitions()
+        bad.getentries("decay", "partitions", ";", counts)
 
 
 def test_random_shots_deterministic_per_seed():

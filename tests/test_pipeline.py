@@ -22,6 +22,9 @@ def test_spec_validation():
         PipelineSpec((2, 2), 0, 1)
     with pytest.raises(ConfigurationError):
         PipelineSpec((2, 2), 1, 1, t0=0.0)
+    for t0, tc in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ConfigurationError):
+            PipelineSpec((2, 2), 1, 1, t0=t0, transfer_cost=tc)
 
 
 def test_analytic_formula_anchor_values():
