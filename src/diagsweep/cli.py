@@ -173,10 +173,10 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     meshes = [cells for cells, _ in variants]
     ok = len(set(meshes)) == len(meshes) >= 2
     cfg._require(ok, "convergence", "meshes", "2 or more distinct meshes", meshes)
-    if cfg.get("problem", "medium") != "constant":
-        raise ConfigurationError("convergence study requires a constant medium")
-    if cfg.get("problem", "source") != "gaussian":
-        raise ConfigurationError("convergence study requires a gaussian source")
+    for key, needed in (("medium", "constant"), ("source", "gaussian")):
+        value = cfg.get("problem", key)
+        cfg._require(value == needed, "problem", key,
+                     f"{needed} for the convergence study", repr(value))
     center = tuple(cfg.getlist("problem", "center", float))
     kappa = cfg.omega / cfg.getfloat("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa

@@ -28,7 +28,11 @@ Two backends are provided behind one interface:
   column's largest entry.  That pattern-based ordering depends only on the
   stencil graph, so the same setting serves 2D and 3D windows; the threshold
   still moves off a weak or zero diagonal (kappa^2 h^2 = 2 dim cancels the
-  interior diagonal exactly).
+  interior diagonal exactly).  Each factorization holds the factors once, in
+  SuperLU's supernodal store: `factor_nnz` counts the entries that store
+  keeps (`SuperLU.nnz`, which on a general matrix can exceed the nonzeros of
+  CSC copies of L and U), and `factor_bytes` is 16 bytes per entry, values
+  only.
 
 Factorizations are cached by operator fingerprint.  Operators are exact
 functions of their integer structure, so structurally identical subdomains
@@ -170,7 +174,9 @@ class SeparableFactorization:
 
 
 class SparseLuFactorization:
-    """SuperLU factorization of the full window matrix."""
+    """SuperLU factorization of the full window matrix.
+
+    `factor_nnz` is the number of factor entries SuperLU stores."""
 
     backend = "splu"
 
@@ -187,7 +193,9 @@ class SparseLuFactorization:
             )
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-        self.factor_nnz = self._lu.L.nnz + self._lu.U.nnz
+        # the entries SuperLU stores: reading `_lu.L` or `_lu.U` instead would
+        # build CSC copies of the factors, which scipy caches on the object
+        self.factor_nnz = self._lu.nnz
         self.factor_bytes = self.factor_nnz * 16
         self.held = {id(self): self.factor_bytes}  # SuperLU's memory, as one buffer
 
@@ -196,7 +204,8 @@ class SparseLuFactorization:
             raise ConfigurationError(
                 f"rhs shape {rhs.shape} does not match window {self.shape}"
             )
-        out = self._lu.solve(rhs.ravel().astype(np.complex128))
+        # SuperLU.solve copies its input, so a complex rhs is passed as it is
+        out = self._lu.solve(rhs.ravel().astype(np.complex128, copy=False))
         return out.reshape(self.shape)
 
 

@@ -450,16 +450,35 @@ def test_convergence_study(small_ini, tmp_path):
     coarse, fine = (line.split(",") for line in lines[2:])
     assert float(fine[2]) < float(coarse[2])
     assert 1.5 < float(fine[3]) < 2.5  # near second order in L2
-    # refusing non-constant media, other sources and short mesh lists
+    # refusing short mesh lists (other media and sources: the tests below)
     assert _run(["convergence", "--config", small_ini, "--out", out,
                  "--set", "convergence.meshes=40"]) == EXIT_CONFIG
-    assert _run(["convergence", "--config", small_ini, "--out", out,
-                 "--set", "convergence.meshes=40,80",
-                 "--set", "problem.medium=layered"]) == EXIT_CONFIG
-    assert _run(["convergence", "--config", small_ini, "--out", out,
-                 "--set", "convergence.meshes=40,80",
-                 "--set", "problem.source=shots",
-                 "--set", "problem.shots=0.5,0.5"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("settings, message", (
+    (["problem.medium=layered"],
+     "[problem] medium: medium must be constant for the convergence study, got 'layered'"),
+    (["problem.source=shots", "problem.shots=0.5,0.5"],
+     "[problem] source: source must be gaussian for the convergence study, got 'shots'"),
+), ids=("medium", "source"))
+def test_convergence_study_names_the_refused_key(small_ini, tmp_path, capsys, settings,
+                                                 message):
+    args = ["convergence", "--config", small_ini, "--out", tmp_path / "out",
+            "--set", "convergence.meshes=40,80"]
+    for setting in settings:
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, message)
+
+
+def test_convergence_study_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "layered.ini"
+    path.write_text(SMALL.replace("medium = constant", "medium = layered"))
+    line = SMALL.splitlines().index("medium = constant") + 1
+    _exits_2_without_traceback(
+        capsys, ["convergence", "--config", path, "--out", tmp_path / "out",
+                 "--set", "convergence.meshes=40,80"],
+        f"{path}:{line}: medium must be constant for the convergence study",
+    )
 
 
 def test_convergence_study_tunes_each_mesh(small_ini, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Direct factorization backends and the fingerprint cache."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,40 @@ def test_splu_fill_below_colamd():
         lu = spla.splu(op.to_sparse().tocsc(), permc_spec="COLAMD")
         reference += lu.L.nnz + lu.U.nnz
     assert fill <= 0.75 * reference
+
+
+RASTER_3D = RasterModel(((0, 1),) * 3,
+                        np.random.default_rng(8).uniform(1.0, 3.0, (5, 5, 5)).astype(np.float32))
+
+
+@pytest.mark.parametrize("counts, model, cells", (
+    ((4, 4), RASTER, 40),
+    ((2, 2, 2), RASTER_3D, 12),
+), ids=("raster-4x4", "raster-2x2x2"))
+def test_splu_factor_nnz_counts_l_and_u(counts, model, cells):
+    """On these stencil windows the entries SuperLU stores are exactly the
+    nonzeros of L and U (on a general matrix the store can hold more)."""
+    ops = _partition_operators(counts, model, cells=cells).values()
+    assert len(ops) == np.prod(counts)
+    for op in ops:
+        fact = SparseLuFactorization(op)
+        assert fact.factor_nnz == fact._lu.L.nnz + fact._lu.U.nnz
+
+
+def test_splu_holds_no_copy_of_its_factors():
+    """Counting the fill builds no CSC copy of L and U, which scipy would
+    cache on the SuperLU object: after construction, almost no traced
+    (numpy or Python) memory is left held.  SuperLU's own store is
+    allocated outside tracemalloc."""
+    op = _op(2, 50, model=RASTER)
+    op.to_sparse()  # computes the operator's cached coefficients
+    tracemalloc.start()
+    try:
+        fact = SparseLuFactorization(op)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.05 * fact.factor_bytes
 
 
 @pytest.fixture()
