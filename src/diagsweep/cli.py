@@ -12,9 +12,10 @@ Every run reads an INI config (see `config`), applies DIAGSWEEP_* environment
 overrides and --set flags, and writes its artifacts under --out.  All tables
 carry the resolved config hash in a header comment.  With one BLAS thread
 the numerical artifacts (field.f64le, quicklook.pgm, convergence.csv,
-decay_*.csv, precond_study.csv without wall_time, pipeline_report.json) are
-bit-for-bit reproducible for a fixed config and seed; timing fields
-(wall_time, the *_s seconds, cumulative_seconds) vary from run to run.
+decay_*.csv, precond_study.csv without wall_time, pipeline_report.json,
+residuals.csv without its seconds columns) are bit-for-bit reproducible for a
+fixed config and seed; timing fields (wall_time, the *_s seconds,
+cumulative_seconds, precond_seconds) vary from run to run.
 --threads caps BLAS threads through threadpoolctl when it is installed, and
 otherwise calls openblas_set_num_threads in every OpenBLAS library loaded in
 the process (numpy and scipy wheels each bundle one); `solve` writes the
@@ -51,8 +52,10 @@ from .subdomain import FactorizationCache, factorize
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
-# per-layer seconds of a DDM application, summed over all of them in a solve
-_LAYER_SECONDS = ("solve_s", "transfer_s", "blend_s")
+# counters and per-layer seconds of a DDM application, summed over all of them
+# in a solve
+_DDM_COUNTERS = ("solves", "nonzero_solves", "discarded_sources",
+                 "solve_s", "transfer_s", "blend_s")
 
 
 def _build_problem(cfg: RunConfig):
@@ -66,35 +69,31 @@ def _build_problem(cfg: RunConfig):
 
 
 def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=False):
-    """Run the configured solver mode; returns (field, report dict, gmres report)."""
+    """Run the configured solver mode; returns (field, report dict, DDM report
+    of a direct-ddm solve, GMRES report)."""
     mode = cfg.get("solver", "mode")
     cache = FactorizationCache()
     full = partition.grid.full_window()
     info = {"mode": mode, "config_sha256": cfg.sha256}
     ddm_report = krylov_report = None
+
+    def sweep(v, **options):
+        du, report = diagonal_sweep_solve(v, partition, operators, cache, **options)
+        for key in _DDM_COUNTERS:
+            info[key] = info.get(key, 0) + getattr(report, key)
+        return du, report
+
     t0 = time.perf_counter()
     if mode == "global-direct":
         u = ComplexField(partition.grid, factorize(gop).solve(f))
     elif mode == "direct-ddm":
-        u, ddm_report = diagonal_sweep_solve(
-            f, partition, operators, cache, record_events=record_events
-        )
-        info.update(solves=ddm_report.solves, nonzero_solves=ddm_report.nonzero_solves,
-                    discarded_sources=ddm_report.discarded_sources)
-        info.update((key, getattr(ddm_report, key)) for key in _LAYER_SECONDS)
+        u, ddm_report = sweep(f, record_events=record_events)
     elif mode == "gmres-ddm":
-        info.update(dict.fromkeys(_LAYER_SECONDS, 0.0))
-
-        def apply_m(v):
-            du, report = diagonal_sweep_solve(
-                v, partition, operators, cache, warn_collar=False
-            )
-            for key in _LAYER_SECONDS:
-                info[key] += getattr(report, key)
-            return du.values
-
         values, krylov_report = gmres(
-            lambda v: gop.apply(v, region=full), apply_m, f, **cfg.gmres_settings()
+            lambda v: gop.apply(v, region=full),
+            lambda v: sweep(v, warn_collar=False)[0].values,
+            f,
+            **cfg.gmres_settings(),
         )
         u = ComplexField(partition.grid, values)
         info["n_iter"] = krylov_report.n_iter

@@ -2,9 +2,10 @@
 
 The solver iterates on A M^-1 y = b with x = M^-1 y recovered at the end of
 each cycle, so the reported residual is the true residual of A x = b and the
-stopping tolerance is meaningful.  Arnoldi uses modified Gram-Schmidt with a
-single reorthogonalization pass on demand; the least-squares problem is
-updated with Givens rotations.  The initial guess is zero.
+stopping tolerance is meaningful.  Arnoldi orthogonalizes each new vector by
+classical Gram-Schmidt applied twice; LAPACK Givens rotations (zlartg) reduce
+the Hessenberg columns to an upper-triangular R, and each cycle ends with one
+triangular solve.  The initial guess is zero.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import ConfigurationError
+
+_lartg = get_lapack_funcs("lartg", dtype=np.complex128)
 
 
 @dataclass
@@ -24,7 +28,7 @@ class SolveReport:
 
     n_iter: int = 0
     converged: bool = False
-    residuals: list = field(default_factory=list)  # true relative residual
+    residuals: list = field(default_factory=list)  # relative; true at each cycle's end
     times: list = field(default_factory=list)  # cumulative seconds
     precond_times: list = field(default_factory=list)
 
@@ -33,9 +37,11 @@ class SolveReport:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "relative_residual", "cumulative_seconds"])
-            for k, (res, t) in enumerate(zip(self.residuals, self.times)):
-                writer.writerow([k, f"{res:.6e}", f"{t:.6f}"])
+            writer.writerow(["iteration", "relative_residual", "cumulative_seconds",
+                             "precond_seconds"])
+            precond = [""] + self.precond_times  # row 0 applies no preconditioner
+            for k, (res, t, p) in enumerate(zip(self.residuals, self.times, precond)):
+                writer.writerow([k, f"{res:.6e}", f"{t:.6f}", p])
 
 
 def gmres(
@@ -80,72 +86,43 @@ def gmres(
     residual = norm_b
     report.residuals.append(1.0)
     report.times.append(time.perf_counter() - t0)
-    total = 0
-    while total < max_iter and residual / norm_b > tol:
+    while report.n_iter < max_iter and residual / norm_b > tol:
         r = b - mat(x)
-        beta = np.linalg.norm(r)
-        m = min(restart, max_iter - total)
+        m = min(restart, max_iter - report.n_iter)
         V = np.zeros((m + 1, b.size), dtype=np.complex128)
         Z = np.zeros((m, b.size), dtype=np.complex128)
-        H = np.zeros((m + 1, m), dtype=np.complex128)
-        cs = np.zeros(m, dtype=np.complex128)
-        sn = np.zeros(m, dtype=np.complex128)
+        R = np.zeros((m, m), dtype=np.complex128)
         g = np.zeros(m + 1, dtype=np.complex128)
-        g[0] = beta
-        V[0] = r / beta
-        k_done = 0
+        g[0] = np.linalg.norm(r)
+        V[0] = r / g[0]
+        rotations = []
         for k in range(m):
             Z[k] = prec(V[k])
             w = mat(Z[k])
             if np.shares_memory(w, Z[k]):  # operator returned its input
                 w = w.copy()
-            norm_w0 = np.linalg.norm(w)
-            for i in range(k + 1):
-                H[i, k] = np.vdot(V[i], w)
-                w -= H[i, k] * V[i]
-            if np.linalg.norm(w) < 0.5 * norm_w0:  # reorthogonalize on demand
-                for i in range(k + 1):
-                    c = np.vdot(V[i], w)
-                    H[i, k] += c
-                    w -= c * V[i]
-            H[k + 1, k] = np.linalg.norm(w)
-            for i in range(k):  # apply stored rotations
-                hi = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -np.conj(sn[i]) * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = hi
-            denom = np.hypot(abs(H[k, k]), abs(H[k + 1, k]))
-            if denom == 0.0:
-                k_done = k + 1
-                break
-            if H[k, k] == 0:
-                cs[k] = 0.0
-                sn[k] = np.conj(H[k + 1, k]) / abs(H[k + 1, k])
-            else:
-                cs[k] = abs(H[k, k]) / denom
-                sn[k] = (H[k, k] / abs(H[k, k])) * np.conj(H[k + 1, k]) / denom
-            H[k, k] = cs[k] * H[k, k] + sn[k] * H[k + 1, k]
-            norm_w = H[k + 1, k].real
-            H[k + 1, k] = 0.0
-            g[k + 1] = -np.conj(sn[k]) * g[k]
-            g[k] = cs[k] * g[k]
-            k_done = k + 1
-            total += 1
+            h = np.zeros(k + 2, dtype=np.complex128)
+            for _ in range(2):  # classical Gram-Schmidt, applied twice
+                c = (V[: k + 1] @ w.conj()).conj()  # V^H w, without copying V
+                w -= c @ V[: k + 1]
+                h[: k + 1] += c
+            norm_w = h[k + 1] = np.linalg.norm(w)
+            for i, (cs, sn) in enumerate(rotations):
+                h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - np.conj(sn) * h[i]
+            cs, sn, R[k, k] = _lartg(h[k], h[k + 1])
+            rotations.append((cs, sn))
+            R[:k, k] = h[:k]
+            g[k], g[k + 1] = cs * g[k], -np.conj(sn) * g[k]
+            report.n_iter += 1
             residual = abs(g[k + 1])
-            report.n_iter = total
             report.residuals.append(residual / norm_b)
             report.times.append(time.perf_counter() - t0)
             if residual / norm_b <= tol or norm_w == 0.0:
                 break
             V[k + 1] = w / norm_w
-        if k_done:
-            y = np.linalg.solve(
-                np.triu(H[:k_done, :k_done]), g[:k_done]
-            )
-            x = x + Z[:k_done].T @ y
-        true_res = np.linalg.norm(b - mat(x))
-        residual = true_res
-        report.residuals[-1] = true_res / norm_b
-        if k_done == 0:
-            break
+        y = solve_triangular(R[: k + 1, : k + 1], g[: k + 1])
+        x = x + Z[: k + 1].T @ y
+        residual = np.linalg.norm(b - mat(x))
+        report.residuals[-1] = residual / norm_b
     report.converged = bool(residual / norm_b <= tol)
     return x.reshape(shape), report

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver."""
 
+import csv
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, fit_decay_rate, main
+from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, _openblas, fit_decay_rate, main
 from diagsweep.config import load_config
 from diagsweep.ddm import check_source
 from diagsweep.errors import SolverError
@@ -70,8 +71,14 @@ def test_solve_gmres_artifacts(small_ini, tmp_path, capsys):
     field = load_field(out / "field.f64le")
     assert field.values.shape == (57, 57)
     assert (out / "quicklook.pgm").read_bytes().startswith(b"P5")
-    first = (out / "residuals.csv").read_text().splitlines()[0]
+    first, *lines = (out / "residuals.csv").read_text().splitlines()
     assert first == f"# config sha256: {info['config_sha256']}"
+    # one preconditioner time per iteration (none on row 0), summing to precond_s
+    rows = list(csv.DictReader(lines))
+    assert rows[0]["precond_seconds"] == ""
+    seconds = [float(row["precond_seconds"]) for row in rows[1:]]
+    assert len(seconds) == info["n_iter"]
+    assert sum(seconds) == pytest.approx(info["precond_s"], rel=1e-9)
     stdout = capsys.readouterr().out
     assert json.loads(stdout.splitlines()[-1])["mode"] == "gmres-ddm"
 
@@ -126,7 +133,11 @@ def test_ddm_counters_in_solve_report(small_ini, tmp_path):
     assert _run(["solve", "--config", small_ini, "--out", out]) == 0
     info = json.loads((out / "solve_report.json").read_text())
     assert info["precond_s"] > 0 and info["factorizations"] == 4
-    # summed over every preconditioner application
+    # summed over every preconditioner application, one per iteration, each
+    # scheduling all 2 x 2 subdomains in every one of the 2**dim sweeps
+    assert info["solves"] == info["n_iter"] * 2**2 * (2 * 2)
+    assert 0 < info["nonzero_solves"] <= info["solves"]
+    assert info["discarded_sources"] >= 0
     layers = [info[key] for key in ("solve_s", "transfer_s", "blend_s")]
     assert min(layers) >= 0 and info["solve_s"] > 0
     assert sum(layers) <= info["wall_time"]
@@ -158,7 +169,8 @@ def test_threads_reach_blas(small_ini, tmp_path):
         assert _run(["solve", "--config", small_ini, "--out", out,
                      "--threads", threads, "--set", "solver.mode=global-direct"]) == 0
         info = json.loads((out / "solve_report.json").read_text())
-        assert info["blas_threads"] in (threads, None)
+        loaded = _openblas("get_num_threads")
+        assert info["blas_threads"] == (threads if loaded else None)
 
 
 def test_exit_codes(small_ini, tmp_path):

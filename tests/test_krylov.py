@@ -49,6 +49,28 @@ def test_identity_and_aliasing_operators():
     assert report.n_iter == 1 and np.allclose(x, b)
 
 
+def test_residual_history_is_the_krylov_minimum():
+    """Within one cycle, residual k is min_y |b - A M^-1 Q_k y| / |b| over
+    an orthonormal basis Q_k of the k-dimensional Krylov space of A M^-1."""
+    n = 40
+    rng = np.random.default_rng(7)
+    A = (np.diag(2 + rng.uniform(size=n) + 1j * rng.uniform(size=n))
+         + np.diag(3 * np.ones(n - 1), 1)  # strongly non-normal
+         + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    m = 1 + rng.uniform(size=n)
+    AM = A / m  # A M^-1 with M = diag(m)
+    _, report = gmres(lambda v: A @ v, lambda v: v / m, b, tol=1e-10, restart=n,
+                      max_iter=n)
+    assert report.n_iter > 30  # one cycle (restart = max_iter), slow to converge
+    Q = (b / np.linalg.norm(b))[:, None]
+    for k, residual in enumerate(report.residuals[1:], start=1):
+        y = np.linalg.lstsq(AM @ Q, b, rcond=None)[0]
+        minimum = np.linalg.norm(b - AM @ Q @ y) / np.linalg.norm(b)
+        assert residual == pytest.approx(minimum, abs=1e-9)
+        Q = np.linalg.qr(np.column_stack([Q, AM @ Q[:, -1]]))[0]
+
+
 def test_zero_rhs():
     x, report = gmres(lambda v: v, lambda v: v, np.zeros(8))
     assert report.converged and np.all(x == 0)
