@@ -73,7 +73,6 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
     of a direct-ddm solve, GMRES report)."""
     mode = cfg.get("solver", "mode")
     cache = FactorizationCache()
-    full = partition.grid.full_window()
     info = {"mode": mode, "config_sha256": cfg.sha256}
     ddm_report = krylov_report = None
 
@@ -90,7 +89,7 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         u, ddm_report = sweep(f, record_events=record_events)
     elif mode == "gmres-ddm":
         values, krylov_report = gmres(
-            lambda v: gop.apply(v, region=full),
+            gop.apply,
             lambda v: sweep(v, warn_collar=False)[0].values,
             f,
             **cfg.gmres_settings(),
@@ -107,7 +106,7 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         info.update(factorizations=cache.count, cache_hits=cache.hits,
                     cache_misses=cache.misses, factor_bytes=cache.total_bytes)
     info["residual"] = float(
-        np.linalg.norm(gop.apply(u.values, region=full) - f) / np.linalg.norm(f)
+        np.linalg.norm(gop.apply(u.values) - f) / np.linalg.norm(f)
     )
     return u, info, ddm_report, krylov_report
 
@@ -207,12 +206,11 @@ def decay_history(cfg: RunConfig, f, n_it: int):
     `f` (on the config's grid) for the config's partition."""
     grid, partition, operators, gop = _build_problem(cfg)
     cache = FactorizationCache()
-    full = grid.full_window()
     u = np.zeros(grid.counts, dtype=np.complex128)
     norm_f = np.linalg.norm(f)
     history = []
     for _ in range(n_it):
-        r = f - gop.apply(u, region=full)
+        r = f - gop.apply(u)
         history.append(float(np.linalg.norm(r) / norm_f))
         du, _ = diagonal_sweep_solve(r, partition, operators, cache, warn_collar=False)
         u += du.values

@@ -5,7 +5,8 @@ each cycle, so the reported residual is the true residual of A x = b and the
 stopping tolerance is meaningful.  Arnoldi orthogonalizes each new vector by
 classical Gram-Schmidt applied twice; LAPACK Givens rotations (zlartg) reduce
 the Hessenberg columns to an upper-triangular R, and each cycle ends with one
-triangular solve.  The initial guess is zero.
+triangular solve.  The initial guess is zero.  A zero diagonal of R means
+A M^-1 is singular on the Krylov space and raises `SolverError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 
 _lartg = get_lapack_funcs("lartg", dtype=np.complex128)
 
@@ -110,6 +111,11 @@ def gmres(
             for i, (cs, sn) in enumerate(rotations):
                 h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - np.conj(sn) * h[i]
             cs, sn, R[k, k] = _lartg(h[k], h[k + 1])
+            if R[k, k] == 0.0:  # a lucky breakdown (norm_w == 0) keeps R[k, k] != 0
+                raise SolverError(
+                    f"GMRES breakdown at iteration {report.n_iter + 1}: A M^-1 is "
+                    "singular on the Krylov space"
+                )
             rotations.append((cs, sn))
             R[:k, k] = h[:k]
             g[k], g[k + 1] = cs * g[k], -np.conj(sn) * g[k]

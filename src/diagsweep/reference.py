@@ -1,14 +1,22 @@
 """Semi-analytic free-space solutions for radially symmetric sources.
 
 For a radial source f(|x - r0|) the outgoing solution of Delta u + kappa^2 u
-= f separates into radial quadratures against the radial Green function,
+= f is one radial quadrature against the radial Green function
 
-    2D: g(R, rho) = -(i pi / 2) J_0(kappa rho_<) H_0^(1)(kappa rho_>),
-    3D: g(R, rho) = -i kappa j_0(kappa rho_<) h_0^(1)(kappa rho_>),
+    g(R, rho) = c * a(kappa rho_<) b(kappa rho_>),   rho_< = min(R, rho),
+                                                     rho_> = max(R, rho),
 
-with rho_< = min(R, rho), rho_> = max(R, rho).  Both quadratures are computed
-once on a fine radial mesh with cumulative trapezoid sums and interpolated at
-the grid node radii, so evaluating a full field costs one pass over the grid.
+with measure rho^p drho.  `_KERNELS[dim]` holds (a, b, p, c) from scipy:
+
+    2D: a = J_0, b = H_0^(1),       p = 1, c = -i pi / 2;
+    3D: a = j_0, b = h_0^(1) = j_0 + i y_0, p = 2, c = -i kappa.
+
+The forward cumulative trapezoid sum against a and the reversed one against b
+are computed once on a fine radial mesh and interpolated at the grid node
+radii, so evaluating a full field costs one pass over the grid.  The outgoing
+kernel b is singular at 0; it is evaluated at positive radii only and left 0
+at rho = 0 and R = 0, which is exact: the measure vanishes at rho = 0, and the
+inner integral vanishes at R = 0.
 
 The PML problem approximates this free-space solution in the interior box; the
 quadrature is accurate to far below the discretization error, which makes it
@@ -19,9 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import hankel1, j0
+from scipy.special import hankel1, j0, spherical_jn, spherical_yn
 
 from .grid import ComplexField, Grid
+
+_KERNELS = {  # dim: (regular a, outgoing b, power p, Green factor c(kappa))
+    2: (j0, lambda x: hankel1(0, x), 1, lambda kappa: -0.5j * np.pi),
+    3: (lambda x: spherical_jn(0, x), lambda x: spherical_jn(0, x) + 1j * spherical_yn(0, x),
+        2, lambda kappa: -1j * kappa),
+}
 
 
 def gaussian_amplitude(kappa: float, dim: int) -> float:
@@ -36,66 +50,36 @@ def gaussian_profile(rho: np.ndarray, kappa: float, dim: int) -> np.ndarray:
     return gaussian_amplitude(kappa, dim) * np.exp(-((4.0 * kappa / np.pi) ** 2) * rho**2)
 
 
-def _radial_solution_2d(radii, kappa, profile, n_quad, rho_max):
-    rho = np.linspace(0.0, rho_max, n_quad)
-    frho = profile(rho) * rho
-    jv = j0(kappa * rho)
-    hv = hankel1(0, np.maximum(kappa * rho, 1e-300))
-    hv[0] = 0.0  # weighted by rho = 0
-    inner = cumulative_trapezoid(jv * frho, rho, initial=0.0)
-    outer_rev = cumulative_trapezoid((hv * frho)[::-1], rho, initial=0.0)[::-1]
-    r = np.clip(radii, rho[0], rho[-1])
-    u = hankel1(0, np.maximum(kappa * r, 1e-300)) * np.interp(r, rho, inner)
-    u = u + j0(kappa * r) * np.interp(r, rho, outer_rev.real) \
-        + 1j * j0(kappa * r) * np.interp(r, rho, outer_rev.imag)
-    u[radii == 0.0] = np.interp(0.0, rho, outer_rev.real) + 1j * np.interp(
-        0.0, rho, outer_rev.imag
-    )
-    return -0.5j * np.pi * u
-
-
-def _radial_solution_3d(radii, kappa, profile, n_quad, rho_max):
-    rho = np.linspace(0.0, rho_max, n_quad)
-    frho2 = profile(rho) * rho**2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jv = np.where(rho > 0, np.sin(kappa * rho) / (kappa * rho), 1.0)
-        hv = np.where(rho > 0, np.exp(1j * kappa * rho) / np.maximum(rho, 1e-300), 0.0)
-    inner = cumulative_trapezoid(jv * frho2, rho, initial=0.0)
-    outer_rev = cumulative_trapezoid((hv * frho2)[::-1], rho, initial=0.0)[::-1]
-    r = np.clip(radii, rho[0], rho[-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        hr = np.where(r > 0, np.exp(1j * kappa * r) / np.maximum(r, 1e-300), 0.0)
-        jr = np.where(r > 0, np.sin(kappa * r) / (kappa * np.maximum(r, 1e-300)), 1.0)
-    u = hr * np.interp(r, rho, inner)
-    u = u + jr * (np.interp(r, rho, outer_rev.real) + 1j * np.interp(r, rho, outer_rev.imag))
-    return -u
+def _off_origin(kernel, x: np.ndarray) -> np.ndarray:
+    """`kernel` at the positive entries of `x`, 0 at x = 0."""
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out[x > 0] = kernel(x[x > 0])
+    return out
 
 
 def radial_solution(
-    grid: Grid,
-    center,
-    kappa: float,
-    profile=None,
-    n_quad: int = 200_000,
-    rho_max: float | None = None,
+    grid: Grid, center, kappa: float, profile=None, n_quad: int = 200_000
 ) -> ComplexField:
     """Free-space solution field for a radial source centered at `center`.
 
     `profile` maps radius arrays to source values; it defaults to the
-    convergence-study Gaussian.  `rho_max` bounds the source support used in
-    the quadrature (default: the grid diagonal).
+    convergence-study Gaussian.  The radial mesh has `n_quad` points and ends
+    one grid spacing past the farthest node.
     """
     dim = grid.dim
+    regular, outgoing, power, factor = _KERNELS[dim]
     if profile is None:
         profile = lambda rho: gaussian_profile(rho, kappa, dim)
-    coords = np.meshgrid(
-        *(grid.axis_coords(a) - center[a] for a in range(dim)), indexing="ij"
-    )
-    radii = np.sqrt(sum(c**2 for c in coords))
-    if rho_max is None:
-        rho_max = float(radii.max()) + grid.spacing[0]
-    if dim == 2:
-        values = _radial_solution_2d(radii.ravel(), kappa, profile, n_quad, rho_max)
-    else:
-        values = _radial_solution_3d(radii.ravel(), kappa, profile, n_quad, rho_max)
-    return ComplexField(grid, values.reshape(grid.counts))
+    coords = np.meshgrid(*(grid.axis_coords(a) - center[a] for a in range(dim)), indexing="ij")
+    r = np.sqrt(sum(c**2 for c in coords)).ravel()
+    rho = np.linspace(0.0, float(r.max()) + grid.spacing[0], n_quad)
+    weight = profile(rho) * rho**power
+    inner = cumulative_trapezoid(regular(kappa * rho) * weight, rho, initial=0.0)
+    outer = cumulative_trapezoid(
+        (_off_origin(outgoing, kappa * rho) * weight)[::-1], rho, initial=0.0
+    )[::-1]
+    a_r = regular(kappa * r)
+    u = _off_origin(outgoing, kappa * r) * np.interp(r, rho, inner)
+    # two real interps: one complex np.interp is not bit-identical to them
+    u = u + a_r * np.interp(r, rho, outer.real) + 1j * a_r * np.interp(r, rho, outer.imag)
+    return ComplexField(grid, (factor(kappa) * u).reshape(grid.counts))

@@ -35,8 +35,9 @@ with the window's slices in the target's window.
 
 Which sweep may consume a transferred source is decided by two rules:
 
-* similar direction: a sweep only uses sources pointing with it (2D: positive
-  dot product; 3D: positive dot product and no componentwise sign conflict);
+* similar direction: a sweep only uses sources pointing with it (positive dot
+  product and no componentwise sign conflict; in 2D, where components are in
+  {-1, 0, 1}, a positive dot product alone implies the second condition);
 * opposite direction: an axis-aligned source (exactly one nonzero component
   in 2D; in 3D, judged on each coordinate-plane projection) generated in one
   sweep is barred from later sweeps whose (projected) direction is opposite
@@ -72,16 +73,14 @@ class TransferredSource:
     cuts: frozenset = frozenset()
 
 
-def similar_direction(d1, d2, dim: int) -> bool:
+def similar_direction(d1, d2) -> bool:
     dot = sum(a * b for a, b in zip(d1, d2))
-    if dim == 2:
-        return dot > 0
     return dot > 0 and all(a * b >= 0 for a, b in zip(d1, d2))
 
 
 def rule_allows(src_dir, gen_sweep_dir, use_sweep_dir, dim: int) -> bool:
     """Whether a source generated in one sweep may be consumed in another."""
-    if not similar_direction(src_dir, use_sweep_dir, dim):
+    if not similar_direction(src_dir, use_sweep_dir):
         return False
     for axes in itertools.combinations(range(dim), 2):
         src = tuple(src_dir[a] for a in axes)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diagsweep.errors import ConfigurationError
+from diagsweep.errors import ConfigurationError, SolverError
 from diagsweep.krylov import gmres
 
 
@@ -69,6 +69,14 @@ def test_residual_history_is_the_krylov_minimum():
         minimum = np.linalg.norm(b - AM @ Q @ y) / np.linalg.norm(b)
         assert residual == pytest.approx(minimum, abs=1e-9)
         Q = np.linalg.qr(np.column_stack([Q, AM @ Q[:, -1]]))[0]
+
+
+def test_singular_preconditioner_raises():
+    """A zero preconditioner makes A M^-1 singular on the Krylov space: a
+    breakdown, not a zero residual."""
+    A, b = _dense_system(n=40, seed=8)
+    with pytest.raises(SolverError, match="singular on the Krylov space"):
+        gmres(lambda v: A @ v, lambda v: np.zeros_like(v), b, tol=1e-8)
 
 
 def test_zero_rhs():

@@ -76,6 +76,35 @@ def test_outgoing_far_field_2d():
     assert slope == pytest.approx(kappa, rel=0.05)
 
 
+def test_outgoing_far_field_3d():
+    """Far from the source the field decays like 1/r and is outgoing."""
+    kappa = 12.0
+    grid = make_grid(((-4.0, 4.0), (-0.01, 0.01), (-0.01, 0.01)), (1601, 3, 3))
+    u = radial_solution(grid, (0.0, 0.0, 0.0), kappa, n_quad=100_000).values[:, 1, 1]
+    x = grid.axis_coords(0)
+    far = np.abs(x) > 2.0
+    scaled = np.abs(u[far]) * np.abs(x[far])
+    # 1/r envelope: the scaled magnitude is nearly constant
+    assert scaled.std() / scaled.mean() < 1e-2
+    # outgoing: phase advances with radius on the positive axis
+    right = u[x > 2.0]
+    phase = np.unwrap(np.angle(right))
+    slope = np.polyfit(x[x > 2.0], phase, 1)[0]
+    assert slope == pytest.approx(kappa, rel=0.05)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_node_at_the_center(dim):
+    """A node on the source center (radius 0) is finite and continuous."""
+    kappa = 7.0
+    grid = make_grid(((-1.0, 1.0),) * dim, (21,) * dim)
+    at = radial_solution(grid, (0.0,) * dim, kappa, n_quad=40_000).values
+    near = radial_solution(grid, (1e-7,) + (0.0,) * (dim - 1), kappa,
+                           n_quad=40_000).values
+    assert np.all(np.isfinite(at))
+    assert np.abs(at - near).max() / np.abs(near).max() < 1e-5
+
+
 def test_default_profile_matches_explicit():
     grid = make_grid(((-0.5, 0.5), (-0.5, 0.5)), (41, 41))
     kappa = 7.0

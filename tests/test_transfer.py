@@ -51,13 +51,13 @@ def test_known_exclusion_cases():
 
 
 def test_similar_direction_definitions():
-    assert similar_direction((1, 0), (1, 1), 2)
-    assert similar_direction((1, -1), (1, -1), 2)
+    assert similar_direction((1, 0), (1, 1))
+    assert similar_direction((1, -1), (1, -1))
     # 2D needs a strictly positive dot product
-    assert not similar_direction((1, -1), (1, 1), 2)
-    # 3D adds the no-sign-conflict requirement: positive dot is not enough
-    assert not similar_direction((1, 1, -1), (1, 1, 1), 3)
-    assert similar_direction((1, 0, 0), (1, 1, 1), 3)
+    assert not similar_direction((1, -1), (1, 1))
+    # the no-sign-conflict requirement bites in 3D: positive dot is not enough
+    assert not similar_direction((1, 1, -1), (1, 1, 1))
+    assert similar_direction((1, 0, 0), (1, 1, 1))
 
 
 def test_next_usable_sweep_default_2d_plan():
