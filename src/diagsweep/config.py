@@ -204,10 +204,16 @@ class RunConfig:
         self._require(ok, "discretization", "interior_cells", what, cells)
         return tuple(cells)
 
+    def _discretization_count(self, key: str) -> int:
+        """A [discretization] integer that must be >= 1."""
+        value = self.getint("discretization", key)
+        self._require(value >= 1, "discretization", key, ">= 1", value)
+        return value
+
     def build_grid(self) -> Grid:
         """Grid covering the interior box plus the global PML collar."""
         cells = self.interior_cells()
-        pml = self.getint("discretization", "pml_points")
+        pml = self._discretization_count("pml_points")
         extents, counts = [], []
         for (a, b), n in zip(self.interior_extents(), cells):
             h = (b - a) / n
@@ -225,16 +231,15 @@ class RunConfig:
         return make_partition(
             grid,
             self.partition_counts(),
-            self.getint("discretization", "overlap_points"),
-            self.getint("discretization", "pml_points"),
+            self._discretization_count("overlap_points"),
+            self._discretization_count("pml_points"),
         )
 
     def build_profile(self, grid: Grid) -> PmlProfile:
         """The absorption profile tuned to the interior mesh spacing of `grid`."""
-        pml = self.getint("discretization", "pml_points")
-        self._require(pml >= 1, "discretization", "pml_points", ">= 1", pml)
-        d = self.getint("discretization", "overlap_points")
-        exponent = self.getint("discretization", "exponent")
+        pml = self._discretization_count("pml_points")
+        d = self._discretization_count("overlap_points")
+        exponent = self._discretization_count("exponent")
         damping = self.getfloat("discretization", "damping")
         self._require(
             np.isfinite(damping) and damping > 0,

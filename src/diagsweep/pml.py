@@ -21,11 +21,17 @@ and kappa^2 is one array broadcastable to the window shape, length 1 along
 constant axes.  So an operator is an exact function of its integer structure
 and medium, and structurally identical subdomains share one cached
 factorization by fingerprint alone.
+
+An operator is its stencil: the window, kappa^2 and per axis the read-only
+coefficients (c_lo, c_hi, -(c_lo + c_hi)), computed once at assembly with the
+mesh spacing inside them.  Every reader uses these arrays, and the
+fingerprint hashes the window and kappa^2 shapes, the coefficients and kappa^2.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +57,8 @@ class PmlProfile:
     def __post_init__(self):
         if self.pml_width_points < 1 or self.overlap_d_points < 1:
             raise ConfigurationError("pml width and overlap must be >= 1 point")
+        if self.exponent < 1:
+            raise ConfigurationError(f"exponent must be >= 1, got {self.exponent}")
         if not self.sigma_max >= 0:
             raise ConfigurationError(f"sigma_max must be >= 0, got {self.sigma_max}")
 
@@ -76,40 +84,23 @@ def tuned_sigma_max(
 class DiscreteOperator:
     """The assembled PML Helmholtz stencil on one window of the global grid."""
 
-    grid: Grid
     window: Window
-    alpha_nodes: list[np.ndarray]
-    alpha_faces: list[np.ndarray]  # length m+1 per axis, face i at x_i - h/2
+    # per axis, the couplings to the lower and upper neighbour and the diagonal
+    coefficients: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     kappa2: np.ndarray  # broadcasts to the window shape, length 1 where constant
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return self.grid.dim
+        return len(self.coefficients)
 
     @property
     def separable(self) -> bool:
         return sum(n > 1 for n in self.kappa2.shape) <= 1
 
-    @cached_property
-    def _coefficients(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per axis, the read-only (c_lo, c_hi, -(c_lo + c_hi))."""
-        out = []
-        for axis in range(self.dim):
-            h = self.grid.spacing[axis]
-            node = self.alpha_nodes[axis]
-            face = self.alpha_faces[axis]
-            c_lo = 1.0 / (node * face[:-1] * h * h)
-            c_hi = 1.0 / (node * face[1:] * h * h)
-            coeffs = (c_lo, c_hi, -(c_lo + c_hi))
-            for arr in coeffs:
-                arr.flags.writeable = False
-            out.append(coeffs)
-        return tuple(out)
-
     def tridiagonal(self, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (sub, main, super) diagonals of T_axis (without kappa^2), read-only."""
-        c_lo, c_hi, diag = self._coefficients[axis]
+        c_lo, c_hi, diag = self.coefficients[axis]
         return c_lo[1:], diag, c_hi[:-1]
 
     def kappa2_values(self, region: Window | None = None) -> np.ndarray:
@@ -162,7 +153,7 @@ class DiscreteOperator:
         local = self.window.local_slices(rows)
         rows_in_region = region.local_slices(rows)
         axes = []
-        for axis, (c_lo, c_hi, diag) in enumerate(self._coefficients):
+        for axis, (c_lo, c_hi, diag) in enumerate(self.coefficients):
             shape = [1] * dim
             shape[axis] = -1
             lo, hi, origin = rows.lo[axis], rows.hi[axis], self.window.lo[axis]
@@ -199,8 +190,8 @@ class DiscreteOperator:
     @cached_property
     def fingerprint(self) -> str:
         digest = hashlib.sha1()
-        digest.update(repr((self.window.shape, self.grid.spacing, self.kappa2.shape)).encode())
-        for arr in (*self.alpha_nodes, *self.alpha_faces, self.kappa2):
+        digest.update(repr((self.window.shape, self.kappa2.shape)).encode())
+        for arr in (*itertools.chain.from_iterable(self.coefficients), self.kappa2):
             digest.update(arr.tobytes())
         return digest.hexdigest()
 
@@ -247,14 +238,13 @@ def assemble_operator(
     kappa uses the velocity sampled at coordinates clamped to `clamp_box`
     (constant extrapolation into the collar); it defaults to the box itself.
     """
-    dim = grid.dim
     if clamp_box is None:
         clamp_box = tuple(
             (grid.axis_coords(a)[box.lo[a]], grid.axis_coords(a)[box.hi[a]])
-            for a in range(dim)
+            for a in range(grid.dim)
         )
-    alpha_nodes, alpha_faces = [], []
-    for axis in range(dim):
+    coefficients = []
+    for axis, h in enumerate(grid.spacing):
         shift_lo = box.lo[axis] - window.lo[axis] - profile.pml_width_points
         shift_hi = window.hi[axis] - box.hi[axis] - profile.pml_width_points
         if shift_lo < 0 or shift_hi < 0:
@@ -274,7 +264,12 @@ def assemble_operator(
         lo, hi = box.lo[axis], box.hi[axis]
         sig_n = _sigma_axis(nodes, lo, hi, profile, shift_lo, shift_hi)
         sig_f = _sigma_axis(faces, lo, hi, profile, shift_lo, shift_hi)
-        alpha_nodes.append(1.0 + 1j * sig_n)
-        alpha_faces.append(1.0 + 1j * sig_f)
+        node, face = 1.0 + 1j * sig_n, 1.0 + 1j * sig_f
+        c_lo = 1.0 / (node * face[:-1] * h * h)
+        c_hi = 1.0 / (node * face[1:] * h * h)
+        coeffs = (c_lo, c_hi, -(c_lo + c_hi))
+        for arr in coeffs:
+            arr.flags.writeable = False
+        coefficients.append(coeffs)
     kappa2 = _kappa2(grid, window, velocity, omega, clamp_box)
-    return DiscreteOperator(grid, window, alpha_nodes, alpha_faces, kappa2)
+    return DiscreteOperator(window, tuple(coefficients), kappa2)

@@ -89,7 +89,6 @@ class SeparableFactorization:
     def __init__(self, op: DiscreteOperator, schur_table: dict | None = None):
         if not op.separable:
             raise ConfigurationError("operator kappa^2 is not tensor-structured")
-        self.window = op.window
         self.shape = op.window.shape
         dim = op.dim
         table = {} if schur_table is None else schur_table
@@ -111,7 +110,6 @@ class SeparableFactorization:
         else:
             self._R1, self._Q1 = _schur_factor(*tri[0], table)
             self._R3, self._Q3 = _schur_factor(*tri[1], table)
-        self._dim = dim
         # id -> bytes of each array held, so that shared arrays count once
         self.held = {
             id(a): a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)
@@ -123,7 +121,7 @@ class SeparableFactorization:
             raise ConfigurationError(
                 f"rhs shape {rhs.shape} does not match window {self.shape}"
             )
-        if self._dim == 2:
+        if len(self.shape) == 2:
             return self._solve2d(rhs)
         return self._solve3d(rhs)
 
@@ -158,17 +156,17 @@ class SeparableFactorization:
         C = rhs.reshape(n1, m * n3).T @ Q1.conj()
         C = np.matmul(Q2.T, C.reshape(m, n3, n1))
         C = (Q3.conj().T @ C.reshape(m, n3 * n1)).reshape(m, n3, n1)
-        Y = np.empty_like(C)
-        flat = Y.reshape(m, n3 * n1)
+        # each slab is solved in place: trsyl overwrites C[s].T, and the
+        # solved slabs are the later ones the coupling reads
+        flat = C.reshape(m, n3 * n1)
         eye = np.eye(n1, dtype=np.complex128, order="F")
         for s in range(m - 1, -1, -1):
-            rhs_s = C[s]
             if s < m - 1:
-                rhs_s = rhs_s - (R3[s, s + 1 :] @ flat[s + 1 :]).reshape(n3, n1)
-            Ys, scale, info = _trsyl(R1 + R3[s, s] * eye, R2, rhs_s.T)
+                C[s] -= (R3[s, s + 1 :] @ flat[s + 1 :]).reshape(n3, n1)
+            Ys, scale, info = _trsyl(R1 + R3[s, s] * eye, R2, C[s].T, overwrite_c=1)
             if info < 0:
                 raise SolverError(f"trsyl failed with info={info}")
-            Y[s] = (Ys / scale).T
+            C[s] = (Ys / scale).T
         out = np.matmul(Q2.conj(), (Q3 @ flat).reshape(m, n3, n1))
         return (Q1 @ out.reshape(m * n3, n1).T).reshape(self.shape)
 
@@ -181,7 +179,6 @@ class SparseLuFactorization:
     backend = "splu"
 
     def __init__(self, op: DiscreteOperator):
-        self.window = op.window
         self.shape = op.window.shape
         matrix = op.to_sparse().tocsc()
         try:

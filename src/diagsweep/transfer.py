@@ -30,8 +30,8 @@ v across its absorption onset).  For a face direction this reduces to the
 continuum form (r - L(beta v)) chi; the corner and edge signs subtract the
 doubly covered band intersections so the target residual is delivered exactly
 once, and a reverse transfer of a pure transfer solution vanishes to
-discretization accuracy.  Sources are stored as (window, values) pairs,
-with the window's slices in the target's window.
+discretization accuracy.  Sources are stored as the band's values and its
+slices in the target's window.
 
 Which sweep may consume a transferred source is decided by two rules:
 
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Window
 from .partition import SWEEP_DIRECTIONS, Partition
 
 
@@ -67,8 +66,7 @@ class TransferredSource:
 
     target: tuple[int, ...]
     direction: tuple[int, ...]
-    window: Window
-    slices: tuple[slice, ...]  # of `window` in the target's window
+    slices: tuple[slice, ...]  # of the band in the target's window
     values: np.ndarray
     cuts: frozenset = frozenset()
 
@@ -128,4 +126,4 @@ def psi(
     target, band, ext, (v_ext, rhs_band, target_band), sign, weight = geometry
     correction = operators[target].apply(weight * v[v_ext], region=ext, rows=band)
     payload = sign * (rhs[rhs_band] + correction)
-    return TransferredSource(target, tuple(direction), band, target_band, payload)
+    return TransferredSource(target, tuple(direction), target_band, payload)

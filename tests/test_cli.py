@@ -203,6 +203,10 @@ def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, fre
 
 @pytest.mark.parametrize("old, new, message", (
     ("pml_points = 8", "pml_points = 0", "pml_points must be >= 1"),
+    ("pml_points = 8", "pml_points = -30", "pml_points must be >= 1"),
+    ("overlap_points = 4", "overlap_points = 0", "overlap_points must be >= 1"),
+    ("overlap_points = 4", "overlap_points = 4\nexponent = -1", "exponent must be >= 1"),
+    ("overlap_points = 4", "overlap_points = 4\nexponent = 0", "exponent must be >= 1"),
     ("overlap_points = 4", "overlap_points = 4\ndamping = nan",
      "damping must be finite and > 0"),
     ("speed = 1.0", "speed = nan", "speed must be finite and > 0"),
@@ -216,7 +220,8 @@ def test_bad_frequency_is_a_configuration_error(small_ini, tmp_path, capsys, fre
     ("source = gaussian", "source = shots\nshots =", "no shots, so the source is zero"),
     ("source = gaussian", "source = random-shots\nn_shots = 0",
      "no shots, so the source is zero"),
-), ids=("pml_points", "damping", "speed", "restart", "max_iter", "tol",
+), ids=("pml_points", "negative_pml_points", "overlap_points", "negative_exponent",
+        "zero_exponent", "damping", "speed", "restart", "max_iter", "tol",
         "layer_speeds", "layer_depths", "no_shots", "zero_n_shots"))
 def test_bad_setting_is_a_configuration_error(tmp_path, capsys, old, new, message):
     text = SMALL.replace(old, new)

@@ -33,6 +33,16 @@ def test_profile_ramp_support():
     assert mid[0] == pytest.approx(3.0 * 0.25)
 
 
+@pytest.mark.parametrize("width, overlap, sigma_max, exponent", (
+    (0, 1, 1.0, 2), (5, 0, 1.0, 2), (5, 1, -1.0, 2), (5, 1, 1.0, 0), (5, 1, 1.0, -1),
+))
+def test_profile_rejects_bad_parameters(width, overlap, sigma_max, exponent):
+    """0**0 = 1 would absorb on every node, and a negative exponent is
+    infinite where the ramp is zero."""
+    with pytest.raises(ConfigurationError):
+        PmlProfile(width, overlap, sigma_max, exponent)
+
+
 def test_tuned_sigma_round_trip_damping():
     kappa, width, p = 30.0, 0.2, 2
     sig = tuned_sigma_max(kappa, width, p)
@@ -90,13 +100,13 @@ def test_apply_on_subregion_assumes_zero_outside():
 
 
 def test_apply_on_subregion_matches_per_call_coefficients():
-    """The cached coefficients give bit-identical results to the stencil
-    with its coefficients rebuilt from the alphas on every call."""
+    """The assembled coefficients give bit-identical results to the stencil
+    with its coefficients rebuilt from the absorption profile on every call."""
     grid = make_grid(((0, 1), (0, 1.2)), (25, 31))
     win = grid.full_window()
+    box = Window((6, 6), (18, 24))
     profile = PmlProfile(5, 1, sigma_max=1.5)
-    op = assemble_operator(grid, win, Window((6, 6), (18, 24)), profile,
-                           layered_model((0.5,), (1.0, 2.0)), 5.0)
+    op = assemble_operator(grid, win, box, profile, layered_model((0.5,), (1.0, 2.0)), 5.0)
     region = Window((3, 7), (14, 27))
     rng = np.random.default_rng(5)
     v = rng.normal(size=region.shape) + 1j * rng.normal(size=region.shape)
@@ -104,7 +114,18 @@ def test_apply_on_subregion_matches_per_call_coefficients():
     want = np.broadcast_to(op.kappa2, win.shape)[local] * v
     for axis in range(2):
         h = grid.spacing[axis]
-        node, face = op.alpha_nodes[axis], op.alpha_faces[axis]
+        lo, hi = box.lo[axis], box.hi[axis]
+        # the overhang past the PML is the zero-sigma shift, one node longer
+        # at these interior faces
+        shift_lo = lo - win.lo[axis] - profile.pml_width_points + 1
+        shift_hi = win.hi[axis] - hi - profile.pml_width_points + 1
+
+        def alpha(t):
+            return 1.0 + 1j * (profile.ramp(lo - t, shift_lo, profile.pml_width_points)
+                               + profile.ramp(t - hi, shift_hi, profile.pml_width_points))
+
+        nodes = np.arange(win.lo[axis], win.hi[axis] + 1, dtype=float)
+        node, face = alpha(nodes), alpha(np.append(nodes - 0.5, nodes[-1] + 0.5))
         c_lo = 1.0 / (node * face[:-1] * h * h)
         c_hi = 1.0 / (node * face[1:] * h * h)
         for got, ref in zip(op.tridiagonal(axis), (c_lo[1:], -(c_lo + c_hi), c_hi[:-1])):
@@ -188,7 +209,7 @@ def test_apply_plans_hold_only_views(dim, medium):
     for rows in _row_windows(region):
         op.apply(x, region=region, rows=rows)
     op.apply(np.ones(op.window.shape, dtype=np.complex128))
-    owners = [op.kappa2, *itertools.chain.from_iterable(op._coefficients)]
+    owners = [op.kappa2, *itertools.chain.from_iterable(op.coefficients)]
     arrays = [a for plan in op._plans.values() for a in _plan_arrays(plan)]
     assert len(op._plans) == len(_row_windows(region)) + 1
     assert len(arrays) >= len(op._plans) * (1 + dim)
@@ -228,13 +249,18 @@ def test_interior_face_onset_leaves_transfer_band_unstretched():
                              constant_model(1.0), 5.0)
     # row coefficients on the band rows bk .. bk+d use the row's own node
     # alpha and the faces bk-1/2 .. bk+d+1/2; both operators must sample
-    # alpha = 1 there so they produce identical residual rows on the band
+    # alpha = 1 there, so that their band rows are the unstretched 1/h^2
+    # couplings and identical residual rows on the band
+    h = grid.spacing[0]
+    band_rows = []
     for op, win in ((op_a, win_a), (op_b, win_b)):
-        nodes = op.alpha_nodes[0]
-        faces = op.alpha_faces[0]
-        lo, hi = bk - win.lo[0], bk + d - win.lo[0]
-        np.testing.assert_array_equal(nodes[lo : hi + 1], 1.0)
-        np.testing.assert_array_equal(faces[lo : hi + 2], 1.0)
+        c_lo, c_hi, _ = op.coefficients[0]
+        rows = slice(bk - win.lo[0], bk + d - win.lo[0] + 1)
+        np.testing.assert_array_equal(c_lo[rows], 1.0 / (h * h))
+        np.testing.assert_array_equal(c_hi[rows], 1.0 / (h * h))
+        band_rows.append((c_lo[rows], c_hi[rows]))
+    for a, b in zip(*band_rows):
+        assert a.shape == (d + 1,) and np.array_equal(a, b)
 
 
 def test_layered_medium_axis_structure_and_clamping():
@@ -261,8 +287,13 @@ def test_fingerprint_distinguishes_operators():
     op1 = assemble_operator(grid, win, box, profile, constant_model(1.0), 5.0)
     op2 = assemble_operator(grid, win, box, profile, constant_model(1.0), 5.0)
     op3 = assemble_operator(grid, win, box, profile, constant_model(1.0), 6.0)
+    # the same integer structure and kappa^2, on a finer mesh
+    finer = _grid2d(25, h=0.02)
+    op4 = assemble_operator(finer, win, box, profile, constant_model(1.0), 5.0)
+    assert op4.window == op1.window and np.array_equal(op4.kappa2, op1.kappa2)
     assert op1.fingerprint == op2.fingerprint
     assert op1.fingerprint != op3.fingerprint
+    assert op1.fingerprint != op4.fingerprint
 
 
 def test_window_must_cover_pml():

@@ -178,10 +178,9 @@ def test_separable_one_node_wide_window(axis):
     op = _op(2, (23, 31))
     lo, hi = list(op.window.lo), list(op.window.hi)
     hi[axis] = lo[axis] = 11
-    nodes, faces = list(op.alpha_nodes), list(op.alpha_faces)
-    nodes[axis], faces[axis] = nodes[axis][11:12], faces[axis][11:13]
-    op = replace(op, window=Window(tuple(lo), tuple(hi)),
-                 alpha_nodes=nodes, alpha_faces=faces)
+    coefficients = list(op.coefficients)
+    coefficients[axis] = tuple(c[11:12] for c in coefficients[axis])
+    op = replace(op, window=Window(tuple(lo), tuple(hi)), coefficients=tuple(coefficients))
     rng = np.random.default_rng(10)
     rhs = rng.normal(size=op.window.shape) + 1j * rng.normal(size=op.window.shape)
     if axis == 0:
@@ -202,8 +201,8 @@ def test_separable_3d_divides_by_the_trsyl_scale(monkeypatch):
     ref = fact.solve(rhs)
     trsyl = subdomain._trsyl
 
-    def rescaling(A, B, C):
-        Y, scale, info = trsyl(A, B, C)
+    def rescaling(A, B, C, **kwargs):
+        Y, scale, info = trsyl(A, B, C, **kwargs)
         assert scale == 1.0 and info == 0
         return 0.5 * Y, 0.5, 0
 
@@ -213,7 +212,7 @@ def test_separable_3d_divides_by_the_trsyl_scale(monkeypatch):
 
 def test_separable_3d_raises_on_trsyl_error(monkeypatch):
     fact = SeparableFactorization(_op(3, NONCUBIC))
-    monkeypatch.setattr(subdomain, "_trsyl", lambda A, B, C: (C, 1.0, -1))
+    monkeypatch.setattr(subdomain, "_trsyl", lambda A, B, C, **kwargs: (C, 1.0, -1))
     with pytest.raises(SolverError, match="info=-1"):
         fact.solve(np.ones(fact.shape, dtype=np.complex128))
 

@@ -115,10 +115,12 @@ def test_psi_band_geometry():
     bk = part.breaks[0][1]
     ts = psi(part, ops, (1, 1), (1, 0), v, rhs)
     assert ts.target == (2, 1)
-    assert ts.window.lo[0] == bk and ts.window.hi[0] == bk + d
+    band = part.transfer_geometry((1, 1), (1, 0))[1]
+    assert band.lo[0] == bk and band.hi[0] == bk + d
     nb = part.window((2, 1))
-    assert ts.window.lo[1] == max(win.lo[1], nb.lo[1])
-    assert ts.window.hi[1] == min(win.hi[1], nb.hi[1])
+    assert band.lo[1] == max(win.lo[1], nb.lo[1])
+    assert band.hi[1] == min(win.hi[1], nb.hi[1])
+    assert ts.slices == nb.local_slices(band) and ts.values.shape == band.shape
     # no transfer across the global boundary
     assert psi(part, ops, (1, 1), (-1, 0), v, rhs) is None
     assert psi(part, ops, (2, 1), (1, 0), v, rhs) is None
@@ -156,7 +158,7 @@ def test_psi_reproduces_cutoff_solution_on_neighbor():
     ts = psi(part, ops, src_idx, (1, 0), u_src, rhs)
     nb_win = part.window(nb_idx)
     nb_rhs = np.zeros(nb_win.shape, dtype=np.complex128)
-    nb_rhs[nb_win.local_slices(ts.window)] = ts.values
+    nb_rhs[ts.slices] = ts.values
     u_nb = factorize(ops[nb_idx]).solve(nb_rhs)
     bk = part.breaks[0][1]
     d = part.overlap_d_points
@@ -249,9 +251,11 @@ def test_psi_and_beta00_match_per_call_geometry(dim):
                 if want is None:
                     assert got is None, (index, direction)
                     continue
-                assert (got.target, got.window) == want[:2], (index, direction)
+                target, band, payload = want
+                assert got.target == target, (index, direction)
+                assert got.slices == part.window(target).local_slices(band), (index, direction)
                 assert got.direction == direction
-                assert np.array_equal(got.values, want[2]), (index, direction)
+                assert np.array_equal(got.values, payload), (index, direction)
         want_support, want_values = _reference_beta00(part, index)
         for _ in range(2):
             support, values, _ = part.beta00_support(index)
