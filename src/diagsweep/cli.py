@@ -87,7 +87,7 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         u = ComplexField(partition.grid, factorize(gop).solve(f))
     elif mode == "direct-ddm":
         u, ddm_report = sweep(f, record_events=record_events)
-    elif mode == "gmres-ddm":
+    else:  # gmres-ddm
         values, krylov_report = gmres(
             gop.apply,
             lambda v: sweep(v, warn_collar=False)[0].values,
@@ -99,8 +99,6 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
         info["converged"] = krylov_report.converged
         info["final_residual"] = krylov_report.residuals[-1]
         info["precond_s"] = sum(krylov_report.precond_times)
-    else:
-        raise ConfigurationError(f"unknown solver mode {mode!r}")
     info["wall_time"] = time.perf_counter() - t0
     if mode != "global-direct":
         info.update(factorizations=cache.count, cache_hits=cache.hits,
@@ -111,15 +109,12 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
     return u, info, ddm_report, krylov_report
 
 
-def _study(cfg: RunConfig, section: str, key: str, sep: str, parse, values) -> list:
-    """(entry, variant) of each entry of the study list [section] key, read by
-    `parse`; the variant is `cfg` with the config `values(entry)`.  Each grid,
-    partition and profile is built here, so an empty list or a bad entry exits
-    2 before the first solve, naming the key and the entry."""
-    tokens = cfg.getentries(section, key, sep, lambda token: (token, parse(token)))
-    cfg._require(bool(tokens), section, key, "a non-empty list", tokens)
+def _study(cfg: RunConfig, section: str, key: str, values) -> list:
+    """(entry, variant) of each entry of the study list [section] key; the
+    variant is `cfg` with the config `values(entry)`.  Each grid, partition and
+    profile is built here, so a bad entry exits 2 before the first solve."""
     variants = []
-    for token, entry in tokens:
+    for token, entry in cfg.get(section, key):
         sub = cfg.with_values(values(entry))
         try:
             grid = sub.build_grid()
@@ -141,18 +136,19 @@ def _write_csv(path, cfg: RunConfig, header, rows) -> None:
 
 
 def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
-    record_events = cfg.getbool("output", "event_log")
+    cfg.get("solver", "mode")  # a bad mode exits 2 before assembly
+    record_events = cfg.get("output", "event_log")
     grid, partition, operators, gop = _build_problem(cfg)
     f = cfg.build_source(grid, rng)
     u, info, ddm_report, krylov_report = _solve_once(
         cfg, f, partition, operators, gop, record_events
     )
     info["blas_threads"] = _blas_threads()
-    if cfg.getbool("output", "field_dump"):
+    if cfg.get("output", "field_dump"):
         dump_field(u, out / "field.f64le")
-    if cfg.getbool("output", "quicklook"):
+    if cfg.get("output", "quicklook"):
         write_pgm(u, out / "quicklook.pgm")
-    if krylov_report is not None and cfg.getbool("output", "residual_csv"):
+    if krylov_report is not None and cfg.get("output", "residual_csv"):
         krylov_report.write_residual_csv(
             out / "residuals.csv", f"config sha256: {cfg.sha256}"
         )
@@ -166,7 +162,7 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
-    variants = _study(cfg, "convergence", "meshes", ",", int,
+    variants = _study(cfg, "convergence", "meshes",
                       lambda cells: {"discretization.interior_cells": str(cells)})
     meshes = [cells for cells, _ in variants]
     ok = len(set(meshes)) == len(meshes) >= 2
@@ -175,8 +171,9 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
         value = cfg.get("problem", key)
         cfg._require(value == needed, "problem", key,
                      f"{needed} for the convergence study", repr(value))
-    center = tuple(cfg.getlist("problem", "center", float))
-    kappa = cfg.omega / cfg.getfloat("problem", "speed")
+    center = tuple(cfg.get("problem", "center"))
+    cfg._require(len(center) == cfg.dim, "problem", "center", f"{cfg.dim} coordinates", center)
+    kappa = cfg.omega / cfg.get("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
     table, prev = [], None
@@ -229,12 +226,11 @@ def fit_decay_rate(history, skip: int, floor: float) -> float:
 
 def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
     n_it, skip, floor = cfg.decay_settings()
-    variants = _study(cfg, "decay", "partitions", ";",
-                      lambda token: tuple(map(int, token.split("x"))),
+    variants = _study(cfg, "decay", "partitions",
                       lambda counts: {"partition.counts": ",".join(map(str, counts))})
     report = {"config_sha256": cfg.sha256, "partitions": {}}
     if cfg.get("problem", "source") == "shots":
-        report["shots"] = cfg.getpairs("problem", "shots")
+        report["shots"] = cfg.get("problem", "shots")
     # one draw, so that every partition solves the same (seeded) source
     f = cfg.build_source(cfg.build_grid(), rng)
     for counts, sub in variants:
@@ -283,15 +279,9 @@ def cmd_pipeline(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
-def _precond_row(token: str):
-    """(cells, partition counts, frequency) of a precond row."""
-    cells, part, freq = token.split(",")
-    return int(cells), tuple(map(int, part.split("x"))), float(freq)
-
-
 def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
     """GMRES iteration counts for a list of cells,NxM,frequency rows."""
-    variants = _study(cfg, "precond", "rows", ";", _precond_row, lambda row: {
+    variants = _study(cfg, "precond", "rows", lambda row: {
         "discretization.interior_cells": str(row[0]),
         "partition.counts": ",".join(map(str, row[1])),
         "problem.frequency": repr(row[2]),

@@ -1,19 +1,9 @@
 """Run configuration: INI file, environment overrides, typed builders.
 
-A run is described by a flat INI file with the sections
-
-    [problem]         dim, frequency (omega/2pi), interior box, medium, source
-    [discretization]  interior cells per axis, PML points, overlap points,
-                      absorption profile exponent and damping
-    [partition]       subdomain counts
-    [solver]          mode (direct-ddm | gmres-ddm | global-direct), tol,
-                      restart, max_iter
-    [output]          artifact toggles
-    [convergence]     mesh list for the refinement study
-    [decay]           partitions, iteration count and fit window
-    [pipeline]        counts, n_rhs, n_iter, t0, transfer_cost
-    [precond]         rows (cells, partition, frequency) of the
-                      preconditioner study
+`KEYS` is the one list of the sections and keys of a run's INI file: for
+each (section, key) the parser, the check and the default.  A key is parsed
+and checked when it is read; checks that involve several keys stay in the
+builders.  Names are lower case; a section or key not in `KEYS` is an error.
 
 Environment variables of the form DIAGSWEEP_<SECTION>_<KEY> override file
 values, and explicit overrides (command-line) override both.  Validation
@@ -29,7 +19,9 @@ import configparser
 import hashlib
 import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partialmethod
 from pathlib import Path
 
 import numpy as np
@@ -49,32 +41,107 @@ from .pml import PmlProfile, tuned_sigma_max
 
 ENV_PREFIX = "DIAGSWEEP_"
 
-_DEFAULTS = {
-    "problem": {
-        "dim": "2",
-        "frequency": "10",
-        "interior": "0,1; 0,1",
-        "medium": "constant",
-        "speed": "1.0",
-        "source": "gaussian",
-        "center": "0.5, 0.5",
-    },
-    "discretization": {
-        "pml_points": "12",
-        "overlap_points": "5",
-        "exponent": "2",
-        "damping": "24",
-    },
-    "solver": {"mode": "gmres-ddm", "tol": "1e-6", "restart": "30", "max_iter": "200"},
-    "output": {
-        "field_dump": "true",
-        "quicklook": "true",
-        "residual_csv": "true",
-        "event_log": "false",
-    },
-    "decay": {"partitions": "3x3; 1x2", "iterations": "26", "fit_skip": "2", "floor": "1e-13"},
-    "pipeline": {"t0": "1.0", "transfer_cost": "0.0"},
+# A parser reads the raw string and raises ValueError saying what is wrong; a
+# check returns what is wrong with the parsed value of `key`, or None.
+
+
+def _parser(cast, complaint):
+    """`cast`, which raises ValueError (or KeyError) on a bad string, saying
+    `complaint` about it instead."""
+    def parse(raw):
+        try:
+            return cast(raw)
+        except (ValueError, KeyError):
+            raise ValueError(complaint.format(raw)) from None
+    return parse
+
+
+def _entries(sep, parse):
+    """The non-empty `sep`-separated entries, each read by `parse`."""
+    entry = _parser(parse, "bad entry {!r}")
+    return lambda raw: [entry(t) for t in filter(None, map(str.strip, raw.split(sep)))]
+
+
+def _counts(token):
+    """Subdomain counts written NxM or NxMxK."""
+    return tuple(map(int, token.split("x")))
+
+
+def _precond_row(token):
+    """(cells, partition counts, frequency) of a precond row."""
+    cells, part, freq = token.split(",")
+    return int(cells), _counts(part), float(freq)
+
+
+def _must(ok, what):
+    return lambda key, v: None if ok(v) else f"{key} must be {what}, got {v}"
+
+
+def _one_of(*choices):
+    return lambda key, v: (
+        None if v in choices else f"unknown {key} {v!r}, expected {' | '.join(choices)}"
+    )
+
+
+_INT = _parser(int, "expected an integer, got {!r}")
+_FLOAT = _parser(float, "expected a number, got {!r}")
+_BOOL = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()],
+                "expected a boolean, got {!r}")
+_INTS, _FLOATS = _entries(",", int), _entries(",", float)
+_PAIRS = _entries(";", lambda t: tuple(map(float, t.split(","))))
+_AT_LEAST_1 = _must(lambda v: v >= 1, ">= 1")
+_POSITIVE = _must(lambda v: np.isfinite(v) and v > 0, "finite and > 0")
+_NONNEGATIVE = _must(lambda v: np.isfinite(v) and v >= 0, "finite and >= 0")
+_NONEMPTY = _must(bool, "a non-empty list")
+_NO_SHOTS = "no shots, so the source is zero"  # shot weights never cancel
+
+
+# a key without a default is absent unless set
+Key = namedtuple("Key", "parse check default", defaults=(None, None))
+KEYS = {
+    ("problem", "dim"): Key(_INT, _must(lambda v: v in (2, 3), "2 or 3"), "2"),
+    ("problem", "frequency"): Key(_FLOAT, _POSITIVE, "10"),
+    ("problem", "interior"): Key(_PAIRS, None, "0,1; 0,1"),
+    ("problem", "medium"): Key(str, _one_of("constant", "layered", "raster"), "constant"),
+    ("problem", "speed"): Key(_FLOAT, _POSITIVE, "1.0"),
+    ("problem", "depths"): Key(_FLOATS),
+    ("problem", "speeds"): Key(_FLOATS),
+    ("problem", "raster_path"): Key(str),
+    ("problem", "source"): Key(str, _one_of("gaussian", "shots", "random-shots"), "gaussian"),
+    ("problem", "center"): Key(_FLOATS, None, "0.5, 0.5"),
+    ("problem", "shots"): Key(_PAIRS, lambda key, v: None if v else _NO_SHOTS),
+    ("problem", "n_shots"): Key(_INT, lambda key, v: None if v >= 1 else _NO_SHOTS),
+    ("discretization", "interior_cells"): Key(_INTS),
+    ("discretization", "pml_points"): Key(_INT, _AT_LEAST_1, "12"),
+    ("discretization", "overlap_points"): Key(_INT, _AT_LEAST_1, "5"),
+    ("discretization", "exponent"): Key(_INT, _AT_LEAST_1, "2"),
+    ("discretization", "damping"): Key(_FLOAT, _POSITIVE, "24"),
+    ("partition", "counts"): Key(_INTS),
+    ("solver", "mode"): Key(str, _one_of("direct-ddm", "gmres-ddm", "global-direct"),
+                            "gmres-ddm"),
+    ("solver", "tol"): Key(_FLOAT, _POSITIVE, "1e-6"),
+    ("solver", "restart"): Key(_INT, _AT_LEAST_1, "30"),
+    ("solver", "max_iter"): Key(_INT, _AT_LEAST_1, "200"),
+    ("output", "field_dump"): Key(_BOOL, None, "true"),
+    ("output", "quicklook"): Key(_BOOL, None, "true"),
+    ("output", "residual_csv"): Key(_BOOL, None, "true"),
+    ("output", "event_log"): Key(_BOOL, None, "false"),
+    # a study list holds (token, entry) pairs, so that errors can quote the token
+    ("convergence", "meshes"): Key(_entries(",", lambda t: (t, int(t))), _NONEMPTY),
+    ("decay", "partitions"): Key(_entries(";", lambda t: (t, _counts(t))), _NONEMPTY,
+                                 "3x3; 1x2"),
+    ("decay", "iterations"): Key(_INT, None, "26"),
+    ("decay", "fit_skip"): Key(_INT, _must(lambda v: v >= 0, ">= 0"), "2"),
+    ("decay", "floor"): Key(_FLOAT, _NONNEGATIVE, "1e-13"),
+    ("pipeline", "counts"): Key(
+        _INTS, _must(lambda c: len(c) in (2, 3) and min(c) >= 1, "2 or 3 counts >= 1")),
+    ("pipeline", "n_rhs"): Key(_INT, _AT_LEAST_1),
+    ("pipeline", "n_iter"): Key(_INT, _AT_LEAST_1),
+    ("pipeline", "t0"): Key(_FLOAT, _POSITIVE, "1.0"),
+    ("pipeline", "transfer_cost"): Key(_FLOAT, _NONNEGATIVE, "0.0"),
+    ("precond", "rows"): Key(_entries(";", lambda t: (t, _precond_row(t))), _NONEMPTY),
 }
+_SECTIONS = {section for section, _ in KEYS}
 
 
 @dataclass
@@ -95,6 +162,8 @@ class RunConfig:
             if "." not in dotted:
                 raise ConfigurationError(f"override {dotted!r} is not section.key")
             section, key = dotted.split(".", 1)
+            if (section, key) not in KEYS:
+                raise ConfigurationError(f"unknown configuration key [{section}] {key}")
             out.values.setdefault(section, {})[key] = value
             out._lines.pop((section, key), None)
         return out
@@ -111,57 +180,31 @@ class RunConfig:
                 f"{self._where(section, key)}: {key} must be {what}, got {value}"
             )
 
-    def get(self, section: str, key: str) -> str:
+    def get(self, section: str, key: str, parse=None):
+        """[section] key read by `parse`, or, without it, parsed and checked
+        as `KEYS` says."""
+        if key not in self.values.get(section, {}):
+            raise ConfigurationError(f"missing configuration key [{section}] {key}")
+        spec = KEYS[section, key] if parse is None else Key(parse)
         try:
-            return self.values[section][key]
-        except KeyError:
-            raise ConfigurationError(
-                f"missing configuration key [{section}] {key}"
-            ) from None
+            value = spec.parse(self.values[section][key])
+        except ValueError as exc:
+            raise ConfigurationError(f"{self._where(section, key)}: {exc}") from None
+        if complaint := spec.check and spec.check(key, value):
+            raise ConfigurationError(f"{self._where(section, key)}: {complaint}")
+        return value
 
-    def _typed(self, section, key, cast, kind):
-        raw = self.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{self._where(section, key)}: expected {kind}, got {raw!r}"
-            ) from None
-
-    def getint(self, section, key):
-        return self._typed(section, key, int, "an integer")
-
-    def getfloat(self, section, key):
-        return self._typed(section, key, float, "a number")
-
-    def getbool(self, section, key):
-        raw = self.get(section, key).strip().lower()
-        try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self._where(section, key)}: expected a boolean, got {raw!r}"
-            ) from None
-
-    def getentries(self, section, key, sep, parse):
-        """The non-empty `sep`-separated entries, each read by `parse`, which
-        raises ValueError on a bad one."""
-        out = []
-        for token in filter(None, map(str.strip, self.get(section, key).split(sep))):
-            try:
-                out.append(parse(token))
-            except ValueError:
-                raise ConfigurationError(
-                    f"{self._where(section, key)}: bad entry {token!r}"
-                ) from None
-        return out
+    # typed reads of any key, without the check of `KEYS`
+    getint = partialmethod(get, parse=_INT)
+    getfloat = partialmethod(get, parse=_FLOAT)
+    getbool = partialmethod(get, parse=_BOOL)
+    getpairs = partialmethod(get, parse=_PAIRS)
 
     def getlist(self, section, key, cast=str):
-        return self.getentries(section, key, ",", cast)
+        return self.get(section, key, _entries(",", cast))
 
-    def getpairs(self, section, key):
-        """Semicolon-separated list of comma-separated float tuples."""
-        return self.getentries(section, key, ";", lambda t: tuple(map(float, t.split(","))))
+    def getentries(self, section, key, sep, parse):
+        return self.get(section, key, _entries(sep, parse))
 
     @property
     def sha256(self) -> str:
@@ -176,27 +219,20 @@ class RunConfig:
 
     @property
     def dim(self) -> int:
-        dim = self.getint("problem", "dim")
-        self._require(dim in (2, 3), "problem", "dim", "2 or 3", dim)
-        return dim
+        return self.get("problem", "dim")
 
     @property
     def omega(self) -> float:
-        frequency = self.getfloat("problem", "frequency")
-        self._require(
-            np.isfinite(frequency) and frequency > 0,
-            "problem", "frequency", "finite and > 0", frequency,
-        )
-        return 2.0 * np.pi * frequency
+        return 2.0 * np.pi * self.get("problem", "frequency")
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
-        pairs = self.getpairs("problem", "interior")
+        pairs = self.get("problem", "interior")
         ok = len(pairs) == self.dim and all(len(p) == 2 for p in pairs)
         self._require(ok, "problem", "interior", f"{self.dim} lo,hi pairs", pairs)
         return tuple(pairs)
 
     def interior_cells(self) -> tuple[int, ...]:
-        cells = self.getlist("discretization", "interior_cells", int)
+        cells = self.get("discretization", "interior_cells")
         if len(cells) == 1:
             cells = cells * self.dim
         ok = len(cells) == self.dim and min(cells) >= 1
@@ -204,16 +240,10 @@ class RunConfig:
         self._require(ok, "discretization", "interior_cells", what, cells)
         return tuple(cells)
 
-    def _discretization_count(self, key: str) -> int:
-        """A [discretization] integer that must be >= 1."""
-        value = self.getint("discretization", key)
-        self._require(value >= 1, "discretization", key, ">= 1", value)
-        return value
-
     def build_grid(self) -> Grid:
         """Grid covering the interior box plus the global PML collar."""
         cells = self.interior_cells()
-        pml = self._discretization_count("pml_points")
+        pml = self.get("discretization", "pml_points")
         extents, counts = [], []
         for (a, b), n in zip(self.interior_extents(), cells):
             h = (b - a) / n
@@ -222,28 +252,24 @@ class RunConfig:
         return make_grid(extents, counts)
 
     def partition_counts(self) -> tuple[int, ...]:
-        counts = self.getlist("partition", "counts", int)
+        counts = self.get("partition", "counts")
         ok = len(counts) == self.dim
         self._require(ok, "partition", "counts", f"{self.dim} counts", counts)
         return tuple(counts)
 
     def build_partition(self, grid: Grid) -> Partition:
-        return make_partition(
-            grid,
-            self.partition_counts(),
-            self._discretization_count("overlap_points"),
-            self._discretization_count("pml_points"),
-        )
+        counts = self.partition_counts()
+        d, pml = (self.get("discretization", key) for key in ("overlap_points", "pml_points"))
+        try:
+            return make_partition(grid, counts, d, pml)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self._where('partition', 'counts')}: {exc}") from None
 
     def build_profile(self, grid: Grid) -> PmlProfile:
         """The absorption profile tuned to the interior mesh spacing of `grid`."""
-        pml = self._discretization_count("pml_points")
-        d = self._discretization_count("overlap_points")
-        exponent = self._discretization_count("exponent")
-        damping = self.getfloat("discretization", "damping")
-        self._require(
-            np.isfinite(damping) and damping > 0,
-            "discretization", "damping", "finite and > 0", damping,
+        pml, d, exponent, damping = (
+            self.get("discretization", key)
+            for key in ("pml_points", "overlap_points", "exponent", "damping")
         )
         h = min(
             (b - a) / (m - 1 - 2 * pml)
@@ -255,92 +281,62 @@ class RunConfig:
     def build_model(self):
         kind = self.get("problem", "medium")
         if kind == "constant":
-            try:
-                return constant_model(self.getfloat("problem", "speed"))
-            except ModelError as exc:
-                raise ModelError(f"{self._where('problem', 'speed')}: {exc}") from None
+            return constant_model(self.get("problem", "speed"))
         if kind == "layered":
-            depths = self.getlist("problem", "depths", float)
-            speeds = self.getlist("problem", "speeds", float)
+            depths = self.get("problem", "depths")
+            speeds = self.get("problem", "speeds")
             try:
                 return layered_model(tuple(depths), tuple(speeds))
             except ModelError as exc:
                 key = "depths" if "depths" in str(exc) else "speeds"  # ordering check
                 raise ModelError(f"{self._where('problem', key)}: {exc}") from None
-        if kind == "raster":
-            model = load_velocity(self.get("problem", "raster_path"))
-            if model.samples.ndim != self.dim:
-                raise ConfigurationError(
-                    f"{self._where('problem', 'raster_path')}: raster_path holds a "
-                    f"{model.samples.ndim}D raster but dim is {self.dim}"
-                )
-            return model
-        raise ConfigurationError(
-            f"{self._where('problem', 'medium')}: unknown medium {kind!r}"
-        )
+        model = load_velocity(self.get("problem", "raster_path"))
+        if model.samples.ndim != self.dim:
+            raise ConfigurationError(
+                f"{self._where('problem', 'raster_path')}: raster_path holds a "
+                f"{model.samples.ndim}D raster but dim is {self.dim}"
+            )
+        return model
 
     def gmres_settings(self) -> dict:
         """The validated tol, restart and max_iter of the GMRES solver."""
-        tol = self.getfloat("solver", "tol")
-        self._require(np.isfinite(tol) and tol > 0, "solver", "tol", "finite and > 0", tol)
-        out = {"tol": tol}
-        for key in ("restart", "max_iter"):
-            out[key] = self.getint("solver", key)
-            self._require(out[key] >= 1, "solver", key, ">= 1", out[key])
-        return out
+        return {key: self.get("solver", key) for key in ("tol", "restart", "max_iter")}
 
     def build_source(self, grid: Grid, rng: np.random.Generator | None = None):
         kind = self.get("problem", "source")
         interior = self.interior_extents()
         if kind == "gaussian":
-            center = tuple(self.getlist("problem", "center", float))
-            return gaussian_source(grid, center, self.omega, interior)
-        if kind == "shots":
-            key, locs = "shots", self.getpairs("problem", "shots")
-        elif kind == "random-shots":
-            if rng is None:
-                rng = np.random.default_rng(0)
-            key, count = "n_shots", self.getint("problem", "n_shots")
-            locs = [
-                tuple(rng.uniform(a, b) for a, b in interior) for _ in range(count)
-            ]
-        else:
-            raise ConfigurationError(
-                f"{self._where('problem', 'source')}: unknown source {kind!r}"
-            )
-        if not locs:  # shot weights never cancel, so only no shots is a zero source
-            raise ConfigurationError(
-                f"{self._where('problem', key)}: no shots, so the source is zero"
-            )
-        return point_shots(grid, locs, interior)
+            key, locs, omega = "center", [tuple(self.get("problem", "center"))], self.omega
+        elif kind == "shots":
+            key, locs = "shots", self.get("problem", "shots")
+        else:  # random-shots
+            rng = np.random.default_rng(0) if rng is None else rng
+            key, count = "n_shots", self.get("problem", "n_shots")
+            locs = [tuple(rng.uniform(a, b) for a, b in interior) for _ in range(count)]
+        try:  # a source location of the wrong length or outside the interior
+            if kind == "gaussian":
+                return gaussian_source(grid, locs[0], omega, interior)
+            return point_shots(grid, locs, interior)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self._where('problem', key)}: {exc}") from None
 
     def pipeline_spec(self) -> PipelineSpec:
         """The pipeline model's spec, each size and cost validated."""
-        counts = tuple(self.getlist("pipeline", "counts", int))
-        n_rhs, n_iter = (self.getint("pipeline", key) for key in ("n_rhs", "n_iter"))
-        self._require(n_rhs >= 1, "pipeline", "n_rhs", ">= 1", n_rhs)
-        self._require(n_iter >= 1, "pipeline", "n_iter", ">= 1", n_iter)
-        t0, tc = (self.getfloat("pipeline", key) for key in ("t0", "transfer_cost"))
-        self._require(np.isfinite(t0) and t0 > 0, "pipeline", "t0", "finite and > 0", t0)
-        self._require(
-            np.isfinite(tc) and tc >= 0, "pipeline", "transfer_cost", "finite and >= 0", tc
-        )
-        return PipelineSpec(counts, n_rhs, n_iter, t0, tc)
+        counts = tuple(self.get("pipeline", "counts"))
+        return PipelineSpec(counts, *(
+            self.get("pipeline", key) for key in ("n_rhs", "n_iter", "t0", "transfer_cost")
+        ))
 
     def decay_settings(self) -> tuple[int, int, float]:
         """The validated iterations, fit_skip and floor of the decay study."""
-        skip = self.getint("decay", "fit_skip")
-        self._require(skip >= 0, "decay", "fit_skip", ">= 0", skip)
-        n_it = self.getint("decay", "iterations")
+        skip = self.get("decay", "fit_skip")
+        n_it = self.get("decay", "iterations")
         self._require(n_it >= skip + 2, "decay", "iterations", "fit_skip + 2 or more", n_it)
-        floor = self.getfloat("decay", "floor")
-        self._require(
-            np.isfinite(floor) and floor >= 0, "decay", "floor", "finite and >= 0", floor
-        )
-        return n_it, skip, floor
+        return n_it, skip, self.get("decay", "floor")
 
 
-def _key_lines(path: Path) -> dict[tuple[str, str], int]:
+def _key_lines(path: Path) -> dict[tuple[str, str | None], int]:
+    """The line of each key, and of each section header under (section, None)."""
     lines = {}
     section = None
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -348,6 +344,7 @@ def _key_lines(path: Path) -> dict[tuple[str, str], int]:
         m = re.match(r"\[(.+)\]\s*$", stripped)
         if m:
             section = m.group(1).strip()
+            lines.setdefault((section, None), lineno)
             continue
         m = re.match(r"([^=:#;][^=:]*)[=:]", stripped)
         if m and section is not None:
@@ -361,29 +358,39 @@ def load_config(
     """Resolve defaults <- file <- environment <- explicit overrides.
 
     `overrides` maps "section.key" to values.  Environment variables use the
-    form DIAGSWEEP_<SECTION>_<KEY> (section and key upper-cased).
+    form DIAGSWEEP_<SECTION>_<KEY> (section and key upper-cased).  An unknown
+    section or key cites its file line, its variable or its [section] key.
     """
-    values = {sec: dict(kv) for sec, kv in _DEFAULTS.items()}
-    key_lines: dict[tuple[str, str], int] = {}
-    path = Path(path) if path is not None else None
+    values: dict[str, dict[str, str]] = {}
+    for (section, key), spec in KEYS.items():
+        if spec.default is not None:
+            values.setdefault(section, {})[key] = spec.default
+    cfg = RunConfig(values, Path(path) if path is not None else None)
     if path is not None:
-        if not path.is_file():
+        if not cfg.path.is_file():
             raise ConfigurationError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read(path)
+            parser.read(cfg.path)
         except configparser.Error as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
-        for section in parser.sections():
-            values.setdefault(section, {}).update(parser.items(section))
-        key_lines = _key_lines(path)
+        cfg._lines.update(_key_lines(cfg.path))
+        # a [DEFAULT] section would lend its keys to every section
+        for section in ["DEFAULT"] * bool(parser.defaults()) + parser.sections():
+            items = parser.items(section) if section in _SECTIONS else [(None, None)]
+            for key, _ in items:
+                if (section, key) not in KEYS:
+                    what = f"key [{section}] {key}" if key else f"section [{section}]"
+                    raise ConfigurationError(
+                        f"{cfg._where(section, key)}: unknown configuration {what}")
+            values.setdefault(section, {}).update(items)
     environ = os.environ if environ is None else environ
-    prefixes = {f"{ENV_PREFIX}{sec.upper()}_": sec for sec in [*values, *_DEFAULTS]}
     env = {}
     for name, value in environ.items():
-        for prefix, sec in prefixes.items():
-            if name.startswith(prefix):
-                env[f"{sec}.{name[len(prefix):].lower()}"] = value
-                break
-    cfg = RunConfig(values, path, key_lines)
+        if name.startswith(ENV_PREFIX):
+            section, _, key = name[len(ENV_PREFIX):].lower().partition("_")
+            if (section, key) not in KEYS:
+                raise ConfigurationError(
+                    f"{name}: unknown configuration key [{section}] {key}")
+            env[f"{section}.{key}"] = value
     return cfg.with_values(env).with_values(overrides or {})

@@ -7,11 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from diagsweep.cli import EXIT_CONFIG, EXIT_NOCONV, _openblas, fit_decay_rate, main
-from diagsweep.config import load_config
+from diagsweep.config import KEYS, load_config
 from diagsweep.ddm import check_source
 from diagsweep.errors import SolverError
 from diagsweep.grid import load_field
@@ -454,6 +454,107 @@ def test_bad_pipeline_cost_exits_2(small_ini, tmp_path, capsys, setting, message
                  "--set", "pipeline.n_iter=1", "--set", f"pipeline.{setting}"],
         f"[pipeline] {setting.split('=')[0]}: {message}",
     )
+
+
+def _small_line(text: str) -> int:
+    return SMALL.splitlines().index(text) + 1
+
+
+# ROADMAP item 16's reproductions: each exited 0 and ignored the misspelling
+@pytest.mark.parametrize("command, settings, environ, edit, message", (
+    ("solve", ["solver.tolerance=1e-1", "discretization.interior_cell=7",
+               "partiton.counts=1,1"], {}, None, "[solver] tolerance"),
+    ("solve", ["discretization.interior_cell=7"], {}, None,
+     "[discretization] interior_cell"),
+    ("solve", ["partiton.counts=1,1"], {}, None, "[partiton] counts"),
+    ("solve", ["SOLVER.tol=1e-1"], {}, None, "[SOLVER] tol"),
+    ("solve", [], {}, ("tol = 1e-8", "toll = 1"),
+     f"{{path}}:{_small_line('tol = 1e-8')}: unknown configuration key [solver] toll"),
+    ("solve", [], {}, ("[output]\nfield_dump = true", "[outptu]\nfield_dump = false"),
+     f"{{path}}:{_small_line('[output]')}: unknown configuration section [outptu]"),
+    ("solve", [], {"DIAGSWEEP_SOLVER_TOLERANCE": "0.5"}, None,
+     "DIAGSWEEP_SOLVER_TOLERANCE: unknown configuration key [solver] tolerance"),
+    ("pipeline", ["pipeline.counts=0,3", "pipeline.n_rhs=3", "pipeline.n_iter=1"], {}, None,
+     "[pipeline] counts: counts must be 2 or 3 counts >= 1, got [0, 3]"),
+), ids=("set_three", "set_interior_cell", "set_partiton", "set_upper_case_section",
+        "file_key", "file_section", "environment", "pipeline_counts"))
+def test_misspelled_or_bad_setting_exits_2(tmp_path, capsys, monkeypatch, command,
+                                           settings, environ, edit, message):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace(*edit) if edit else SMALL)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    args = [command, "--config", path, "--out", tmp_path / "out"]
+    for setting in settings:
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, message.format(path=path))
+    assert not (tmp_path / "out" / "field.f64le").exists()
+
+
+@st.composite
+def misspelled_keys(draw):
+    """A (section, key) of KEYS with one letter of its section or its key
+    inserted, deleted or replaced, such that KEYS lacks it."""
+    names = list(draw(st.sampled_from(sorted(KEYS))))
+    which, char = draw(st.integers(0, 1)), draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz_"))
+    name = names[which]
+    at = draw(st.integers(0, len(name)))
+    names[which] = draw(st.sampled_from((
+        name[:at] + char + name[at:], name[:at] + name[at + 1:], name[:at] + char + name[at + 1:],
+    )))
+    assume(all(names) and tuple(names) not in KEYS)
+    return tuple(names)
+
+
+@given(names=misspelled_keys(), channel=st.sampled_from(("file", "environment", "--set")))
+@FUZZ
+def test_any_misspelled_key_exits_2(small_ini, tmp_path, capsys, monkeypatch, names, channel):
+    """A misspelled section or key exits 2 from each of the three sources, and
+    the message cites its file line, names its variable or its [section] key."""
+    section, key = names
+    known_section = any(section == known for known, _ in KEYS)
+    args = ["solve", "--config", small_ini, "--out", tmp_path / "out"]
+    with monkeypatch.context() as patch:
+        if channel == "file":
+            path = tmp_path / "misspelled.ini"
+            path.write_text(f"[{section}]\n{key} = 1\n")
+            args[2] = path
+            message = f"{path}:{2 if known_section else 1}: unknown configuration "
+        elif channel == "environment":
+            message = f"DIAGSWEEP_{section.upper()}_{key.upper()}"
+            patch.setenv(message, "1")
+        else:
+            args += ["--set", f"{section}.{key}=1"]
+            message = f"unknown configuration key [{section}] {key}"
+        _exits_2_without_traceback(capsys, args, message)
+
+
+@pytest.mark.parametrize("command, settings, message, assembles", (
+    ("solve", ["solver.mode=bogus"],
+     "[solver] mode: unknown mode 'bogus', expected direct-ddm | gmres-ddm | global-direct",
+     False),
+    ("solve", ["problem.center=0.5"],
+     "[problem] center: source location (0.5,) has 1 coordinates, need 2", True),
+    ("convergence", ["convergence.meshes=40,80", "problem.center=0.5"],
+     "[problem] center: center must be 2 coordinates, got (0.5,)", False),
+    ("solve", ["partition.counts=3,3"],
+     "[partition] counts: axis 0: 40 interior cells not divisible by 3 subdomains", False),
+    # the study's wavenumber is omega / speed: speed 0 was a ZeroDivisionError
+    ("convergence", ["convergence.meshes=40,80", "problem.speed=0"],
+     "[problem] speed: speed must be finite and > 0, got 0.0", False),
+), ids=("mode", "center", "convergence_center", "partition_counts", "convergence_speed"))
+def test_bad_value_names_its_key(small_ini, tmp_path, capsys, monkeypatch, command,
+                                 settings, message, assembles):
+    """The message names the key; a check that needs no operator exits 2
+    before any is assembled."""
+    import diagsweep.cli as cli
+
+    if not assembles:
+        monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    args = [command, "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in settings:
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, message)
 
 
 def test_convergence_study(small_ini, tmp_path):

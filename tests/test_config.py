@@ -1,9 +1,12 @@
 """Configuration resolution, validation diagnostics and typed builders."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from diagsweep.config import RunConfig, load_config
+from diagsweep.config import KEYS, RunConfig, load_config
 from diagsweep.errors import ConfigurationError
 from diagsweep.media import LayeredModel
 from diagsweep.pml import DEFAULT_DAMPING, tuned_sigma_max
@@ -101,10 +104,12 @@ def test_with_values_copies_and_renames_provenance(tmp_path):
 
 
 def test_typed_accessors():
-    cfg = load_config(environ={}, overrides={
-        "x.flag": "on", "x.off": "no", "x.list": "1, 2,3", "x.bad": "maybe",
-        "x.pairs": "0,1; 0.5, 2",
-    })
+    """The typed accessors read any key of a config, with the parser they
+    name; `load_config` would refuse section x, so the config is built here."""
+    cfg = RunConfig({"x": {
+        "flag": "on", "off": "no", "list": "1, 2,3", "bad": "maybe",
+        "pairs": "0,1; 0.5, 2",
+    }})
     assert cfg.getbool("x", "flag") is True
     assert cfg.getbool("x", "off") is False
     assert cfg.getlist("x", "list", int) == [1, 2, 3]
@@ -227,3 +232,53 @@ def test_random_shots_deterministic_per_seed():
     np.testing.assert_array_equal(f1, f2)
     assert np.any(f1 != f3)
     assert np.count_nonzero(f1) <= 3
+
+
+def test_readme_names_every_key():
+    """README's configuration block names each key of KEYS, and no other."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration\n", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+    named, section = [], None
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = header.group(1)
+        elif key := re.match(r"#?\s*(\w+)\s*=", line):
+            named.append((section, key.group(1)))
+    assert len(named) == len(set(named))
+    assert set(named) == set(KEYS)
+
+
+def test_unknown_names_exit_with_their_source(tmp_path):
+    """A section or key KEYS lacks is refused, naming where it came from; the
+    known ones resolve as before and cite their lines."""
+    path = _write(tmp_path, "[solver]\nTol = 1e-3\n\n[Solver]\ntol = 1\n")
+    with pytest.raises(ConfigurationError, match=r"run\.ini:4: unknown configuration "
+                                                 r"section \[Solver\]"):
+        load_config(path, environ={})
+    path = _write(tmp_path, "[solver]\ntol = 1e-3\ntoll = 1\n")
+    with pytest.raises(ConfigurationError, match=r"run\.ini:3: .*key \[solver\] toll"):
+        load_config(path, environ={})
+    path = _write(tmp_path, "[DEFAULT]\ntol = 1\n[solver]\n")
+    with pytest.raises(ConfigurationError, match=r"run\.ini:1: .*section \[DEFAULT\]"):
+        load_config(path, environ={})
+    with pytest.raises(ConfigurationError, match="^DIAGSWEEP_OUTPTU_FIELD_DUMP: "):
+        load_config(environ={"DIAGSWEEP_OUTPTU_FIELD_DUMP": "0"})
+    with pytest.raises(ConfigurationError, match=r"^unknown configuration key \[problem\] "):
+        load_config(environ={}, overrides={"problem.frequencey": "3"})
+    cfg = load_config(_write(tmp_path, "[solver]\n\n[precond]\nrows = 40,2x2,4\n"),
+                      environ={"OTHER_SOLVER_TOL": "x"})
+    assert cfg.get("precond", "rows") == [("40,2x2,4", (40, (2, 2), 4.0))]
+    assert cfg._where("precond", "rows").endswith("run.ini:4")
+
+
+def test_defaults_are_the_table_defaults():
+    """The resolved defaults are the keys of KEYS with a default, as the same
+    strings (so the default config hash is that of the earlier default table),
+    and each passes its own check."""
+    cfg = load_config(environ={})
+    defaults = {name: spec.default for name, spec in KEYS.items() if spec.default is not None}
+    assert {(sec, key): val for sec, kv in cfg.values.items() for key, val in kv.items()} == (
+        defaults)
+    assert cfg.sha256 == "d4461d0da93cdc946b1de8850c3e00ff3709c940c1e7af8da1c059d03a0747c0"
+    for section, key in defaults:
+        cfg.get(section, key)
