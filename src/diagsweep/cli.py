@@ -68,7 +68,7 @@ def _build_problem(cfg: RunConfig):
     return grid, partition, operators, gop
 
 
-def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=False):
+def _solve_once(cfg: RunConfig, f, partition, operators, gop):
     """Run the configured solver mode; returns (field, report dict, DDM report
     of a direct-ddm solve, GMRES report)."""
     mode = cfg.get("solver", "mode")
@@ -86,7 +86,7 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
     if mode == "global-direct":
         u = ComplexField(partition.grid, factorize(gop).solve(f))
     elif mode == "direct-ddm":
-        u, ddm_report = sweep(f, record_events=record_events)
+        u, ddm_report = sweep(f)
     else:  # gmres-ddm
         values, krylov_report = gmres(
             gop.apply,
@@ -112,17 +112,22 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop, record_events=Fals
 def _study(cfg: RunConfig, section: str, key: str, values) -> list:
     """(entry, variant) of each entry of the study list [section] key; the
     variant is `cfg` with the config `values(entry)`.  Each grid, partition and
-    profile is built here, so a bad entry exits 2 before the first solve."""
+    profile is built here, so a bad entry exits 2 before the first solve.  The
+    message about a bad entry drops the location of a key the study set."""
     variants = []
     for token, entry in cfg.get(section, key):
-        sub = cfg.with_values(values(entry))
+        settings = values(entry)
+        sub = cfg.with_values(settings)
         try:
             grid = sub.build_grid()
             sub.build_partition(grid)
             sub.build_profile(grid)
         except (ConfigurationError, ModelError) as exc:
+            message = str(exc)
+            for dotted in settings:
+                message = message.removeprefix(f"{sub._where(*dotted.split('.'))}: ")
             where = cfg._where(section, key)
-            raise type(exc)(f"{where}: {key} entry {token!r}: {exc}") from None
+            raise type(exc)(f"{where}: {key} entry {token!r}: {message}") from None
         variants.append((entry, sub))
     return variants
 
@@ -137,12 +142,10 @@ def _write_csv(path, cfg: RunConfig, header, rows) -> None:
 
 def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
     cfg.get("solver", "mode")  # a bad mode exits 2 before assembly
-    record_events = cfg.get("output", "event_log")
-    grid, partition, operators, gop = _build_problem(cfg)
-    f = cfg.build_source(grid, rng)
-    u, info, ddm_report, krylov_report = _solve_once(
-        cfg, f, partition, operators, gop, record_events
-    )
+    event_log = cfg.get("output", "event_log")
+    f = cfg.build_source(cfg.build_grid(), rng)  # and so does a bad source
+    _, partition, operators, gop = _build_problem(cfg)
+    u, info, ddm_report, krylov_report = _solve_once(cfg, f, partition, operators, gop)
     info["blas_threads"] = _blas_threads()
     if cfg.get("output", "field_dump"):
         dump_field(u, out / "field.f64le")
@@ -152,8 +155,9 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
         krylov_report.write_residual_csv(
             out / "residuals.csv", f"config sha256: {cfg.sha256}"
         )
-    if ddm_report is not None and record_events:
-        ddm_report.write_event_log(out / "events.jsonl")
+    if ddm_report is not None and event_log:
+        lines = (json.dumps(event) + "\n" for event in ddm_report.events)
+        (out / "events.jsonl").write_text("".join(lines))
     (out / "solve_report.json").write_text(json.dumps(info, indent=2))
     print(json.dumps(info))
     if krylov_report is not None and not krylov_report.converged:

@@ -1,11 +1,13 @@
-"""The additive and diagonal sweeping DDM engines: one task, two schedules.
+"""The additive and diagonal sweeping DDM engines: one task, one runner, two
+schedules.
 
 The task (`_solve_and_emit`) is the same in both engines: sum a subdomain's
 own source piece and the transferred sources that reached it, solve the
 local PML problem on its extended window, blend the solution into the global
 field with the beta_{0,0} cutoff, and emit the transferred sources Psi
-towards its neighbors.  The engines differ only in the order of the tasks
-and in where an emitted source is delivered:
+towards its neighbors.  The runner (`_run`) executes the tasks stage by
+stage, delivers every emitted source to the stage its schedule routes it to,
+and records one event per task.  The engines are two schedules of stages:
 
 * additive: every subdomain runs at every step s = 1..sum(N)-dim+1.  Step 1
   takes the own piece f_{i,j}; a source emitted at step s along direction d
@@ -26,7 +28,6 @@ octant by octant; for variable media it serves as the preconditioner.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -116,7 +117,8 @@ def build_global_operator(partition: Partition, profile: PmlProfile, velocity, o
 
 @dataclass
 class DdmReport:
-    """Counters, per-layer seconds and optional traces from one DDM application."""
+    """Counters, per-layer seconds, one event per scheduled task and the
+    optional partial sums of one DDM application."""
 
     solves: int = 0
     nonzero_solves: int = 0
@@ -124,14 +126,8 @@ class DdmReport:
     solve_s: float = 0.0
     transfer_s: float = 0.0
     blend_s: float = 0.0
-    events: list | None = None
+    events: list = field(default_factory=list)
     partials: list | None = None
-    first_nonzero_step: dict = field(default_factory=dict)
-
-    def write_event_log(self, path) -> None:
-        with open(path, "w") as fh:
-            for event in self.events or []:
-                fh.write(json.dumps(event) + "\n")
 
 
 def check_source(f: np.ndarray, partition: Partition, warn_collar: bool) -> None:
@@ -197,6 +193,49 @@ def _solve_and_emit(
     return emitted
 
 
+def _run(f, partition, operators, cache, stages, route, report, warn_collar):
+    """Run the scheduled tasks and return the blended field.
+
+    `stages` holds the tasks of each stage as (step, index, directions) in
+    solve order; stage 1 takes the own pieces of `f`.  A source emitted
+    along d in stage s is delivered to its target in stage route(d, s), or
+    discarded when that is None.  Every task appends its event to
+    `report.events`; with `report.partials` the field after each stage is
+    appended there.
+    """
+    check_source(f, partition, warn_collar)
+    queues: dict = {}
+    combined = np.zeros(partition.grid.counts, dtype=np.complex128)
+    for stage, tasks in enumerate(stages, 1):
+        own = f if stage == 1 else None
+        for step, index, directions in tasks:
+            arrivals = queues.pop((stage, index), [])
+            solve_before = report.solve_s
+            emitted = _solve_and_emit(
+                partition, operators, cache, index, own, arrivals, directions,
+                combined, report,
+            )
+            queued = 0
+            for ts in emitted or ():
+                use = route(ts.direction, stage)
+                if use is None:
+                    report.discarded_sources += 1
+                else:
+                    queues.setdefault((use, ts.target), []).append(ts)
+                    queued += 1
+            report.events.append(
+                {"sweep": stage, "step": step, "subdomain": list(index),
+                 "sources_consumed": len(arrivals), "sources_emitted": queued,
+                 "nonzero": emitted is not None,
+                 "solve_s": report.solve_s - solve_before}
+            )
+        if report.partials is not None:
+            report.partials.append(combined.copy())
+    if queues:
+        raise SolverError("pending transferred sources left after the last stage")
+    return ComplexField(partition.grid, combined)
+
+
 def diagonal_sweep_solve(
     f: np.ndarray,
     partition: Partition,
@@ -204,46 +243,18 @@ def diagonal_sweep_solve(
     cache: FactorizationCache,
     *,
     collect_partials: bool = False,
-    record_events: bool = False,
     warn_collar: bool = True,
 ) -> tuple[ComplexField, DdmReport]:
     """One application of the diagonal sweeping DDM to the source `f`."""
-    report = DdmReport(
-        events=[] if record_events else None,
-        partials=[] if collect_partials else None,
+    report = DdmReport(partials=[] if collect_partials else None)
+    sweeps = (
+        [(step, index, partition.transfer_directions(index))
+         for step, index in partition.sweep_order(direction)]
+        for direction in SWEEP_DIRECTIONS[partition.dim]
     )
-    check_source(f, partition, warn_collar)
-    queues: dict = {}
-    combined = np.zeros(partition.grid.counts, dtype=np.complex128)
-    for sweep, sweep_dir in enumerate(SWEEP_DIRECTIONS[partition.dim], 1):
-        own = f if sweep == 1 else None
-        for step, index in partition.sweep_order(sweep_dir):
-            arrivals = queues.pop((sweep, index), [])
-            solve_before = report.solve_s
-            emitted = _solve_and_emit(
-                partition, operators, cache, index, own, arrivals,
-                partition.transfer_directions(index), combined, report,
-            )
-            queued = 0
-            for ts in emitted or ():
-                use = next_usable_sweep(ts.direction, sweep)
-                if use is None:
-                    report.discarded_sources += 1
-                else:
-                    queues.setdefault((use, ts.target), []).append(ts)
-                    queued += 1
-            if report.events is not None:
-                report.events.append(
-                    {"sweep": sweep, "step": step, "subdomain": list(index),
-                     "sources_consumed": len(arrivals), "sources_emitted": queued,
-                     "nonzero": emitted is not None,
-                     "solve_s": report.solve_s - solve_before}
-                )
-        if report.partials is not None:
-            report.partials.append(combined.copy())
-    if queues:
-        raise SolverError("pending transferred sources left after the last sweep")
-    return ComplexField(partition.grid, combined), report
+    u = _run(f, partition, operators, cache, sweeps, next_usable_sweep, report,
+             warn_collar)
+    return u, report
 
 
 def additive_ddm_solve(
@@ -256,27 +267,17 @@ def additive_ddm_solve(
 ) -> tuple[ComplexField, DdmReport]:
     """The additive overlapping DDM baseline (all subdomains at every step)."""
     report = DdmReport()
-    check_source(f, partition, warn_collar)
-    queues: dict = {}
-    combined = np.zeros(partition.grid.counts, dtype=np.complex128)
-    total_steps = sum(partition.counts) - partition.dim + 1
-    for step in range(1, total_steps + 1):
-        own = f if step == 1 else None
-        for index in partition.subdomains():
-            # a source sent along d arrives |d|_1 steps later; none arrives past the end
-            reach = [d for d in partition.transfer_directions(index)
-                     if step + sum(map(abs, d)) <= total_steps]
-            emitted = _solve_and_emit(
-                partition, operators, cache, index, own,
-                queues.pop((step, index), []), reach, combined, report,
-            )
-            if emitted is None:
-                continue
-            report.first_nonzero_step.setdefault(index, step)
-            for ts in emitted:
-                arrival = step + sum(map(abs, ts.direction))
-                queues.setdefault((arrival, ts.target), []).append(ts)
-    return ComplexField(partition.grid, combined), report
+    last = sum(partition.counts) - partition.dim + 1
+    # a source sent along d arrives |d|_1 steps later; none arrives past the end
+    arrival = lambda direction, step: step + sum(map(abs, direction))
+    steps = (
+        [(step, index, tuple(d for d in partition.transfer_directions(index)
+                             if arrival(d, step) <= last))
+         for index in partition.subdomains()]
+        for step in range(1, last + 1)
+    )
+    u = _run(f, partition, operators, cache, steps, arrival, report, warn_collar)
+    return u, report
 
 
 def octant_exactness_check(

@@ -91,41 +91,26 @@ class Partition:
             tuple(self.breaks[a][i] for a, i in enumerate(index)),
         )
 
+    def _grown(self, index: tuple[int, ...], below: int, above: int) -> Window:
+        """The box of `index` grown by `below` and `above` nodes at interior
+        faces and reaching the grid edge at global faces."""
+        lo = [bk[i - 1] - below if i > 1 else 0 for bk, i in zip(self.breaks, index)]
+        hi = [bk[i] + above if i < n else m - 1
+              for bk, i, n, m in zip(self.breaks, index, self.counts, self.grid.counts)]
+        return Window(tuple(lo), tuple(hi))
+
     @_per_instance
     def window(self, index: tuple[int, ...]) -> Window:
         reach = self.overlap_d_points + self.pml_width_points
-        lo, hi = [], []
-        for a, i in enumerate(index):
-            bk = self.breaks[a]
-            lo.append(bk[i - 1] - reach if i > 1 else 0)
-            hi.append(bk[i] + reach if i < self.counts[a] else self.grid.counts[a] - 1)
-        return Window(tuple(lo), tuple(hi))
-
-    def owned_slices(self, index: tuple[int, ...]) -> tuple[slice, ...]:
-        """Global slices of the nodes owned by this subdomain.
-
-        Breakpoint nodes belong to the lower-index neighbor, so ownership is
-        (bk[i-1], bk[i]] except for the first subdomain which keeps its lower
-        edge.
-        """
-        out = []
-        for a, i in enumerate(index):
-            bk = self.breaks[a]
-            lo = bk[i - 1] + 1 if i > 1 else bk[0]
-            out.append(slice(lo, bk[i] + 1))
-        return tuple(out)
+        return self._grown(index, reach, reach)
 
     @_per_instance
     def owned(self, index: tuple[int, ...]):
         """Slices of the nodes whose source this subdomain takes, in the global
-        grid and in the subdomain window: `owned_slices` grown through the
-        global collar at boundary faces, so the pieces of all subdomains tile
-        the grid."""
-        lo, hi = [], []
-        for a, (sl, i) in enumerate(zip(self.owned_slices(index), index)):
-            lo.append(sl.start if i > 1 else 0)
-            hi.append(sl.stop - 1 if i < self.counts[a] else self.grid.counts[a] - 1)
-        owned = Window(tuple(lo), tuple(hi))
+        grid and in the subdomain window.  Breakpoint nodes belong to the
+        lower-index neighbor, and boundary subdomains take the global collar,
+        so the pieces of all subdomains tile the grid."""
+        owned = self._grown(index, -1, 0)
         return owned.slices(), self.window(index).local_slices(owned)
 
     @_per_instance
@@ -152,14 +137,11 @@ class Partition:
 
     @_per_instance
     def beta00_support(self, index: tuple[int, ...]):
-        """Support window of beta_{0,0;index}, the window less the PML at
-        interior faces, its sampled values (read-only), and the support's
+        """Support window of beta_{0,0;index}, the box grown by the overlap
+        at interior faces, its sampled values (read-only), and the support's
         slices in the global grid and in the subdomain window."""
-        win, p = self.window(index), self.pml_width_points
-        support = Window(
-            tuple(lo + p * (i > 1) for lo, i in zip(win.lo, index)),
-            tuple(hi - p * (i < n) for hi, i, n in zip(win.hi, index, self.counts)),
-        )
+        win, d = self.window(index), self.overlap_d_points
+        support = self._grown(index, d, d)
         values = _outer(support, range(self.dim), lambda a, x: self.beta_1d_nodes(
             a, -1, index[a], x) * self.beta_1d_nodes(a, 1, index[a], x))
         values.flags.writeable = False

@@ -113,16 +113,15 @@ def psi(
     direction: tuple[int, ...],
     v: np.ndarray,
     rhs: np.ndarray,
-) -> TransferredSource | None:
-    """Transferred source from subdomain `index` along `direction`.
+) -> TransferredSource:
+    """Transferred source from subdomain `index` along `direction`, one of
+    its `Partition.transfer_directions` (no transfer crosses the global
+    boundary).
 
     `v` is the local solution on the source subdomain's window and `rhs` the
-    local right-hand side it solves.  Returns None when the neighbor falls
-    outside the partition (no transfer across the global boundary).
+    local right-hand side it solves.
     """
     geometry = partition.transfer_geometry(index, direction)
-    if geometry is None:
-        return None
     target, band, ext, (v_ext, rhs_band, target_band), sign, weight = geometry
     correction = operators[target].apply(weight * v[v_ext], region=ext, rows=band)
     payload = sign * (rhs[rhs_band] + correction)

@@ -55,7 +55,7 @@ def _compact_source(grid, part, index, kappa):
     ]
     f = gaussian_source(grid, tuple(mids), kappa)
     mask = np.zeros(grid.counts, dtype=bool)
-    inner = tuple(slice(s.start + 1, s.stop - 1) for s in part.owned_slices(index))
+    inner = tuple(slice(s.start + 1, s.stop - 1) for s in part.owned(index)[0])
     mask[inner] = True
     return np.where(mask, f, 0)
 
@@ -208,7 +208,7 @@ def test_criterion_5_octant_construction(capsys):
     grid, part, ops, gop, f, pml = _exactness_setup_2d()
     u_ref = factorize(gop).solve(f)
     _, report = diagonal_sweep_solve(
-        f, part, ops, FactorizationCache(), collect_partials=True, record_events=True
+        f, part, ops, FactorizationCache(), collect_partials=True
     )
     checks = octant_exactness_check(report.partials, u_ref, part, (3, 3))
     octant_ok = all(c["relative_error"] <= 1e-4 for c in checks)

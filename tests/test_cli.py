@@ -460,6 +460,25 @@ def _small_line(text: str) -> int:
     return SMALL.splitlines().index(text) + 1
 
 
+# the message about a bad study entry drops the location of a key the study
+# set for the entry, and keeps that of a key the user set
+@pytest.mark.parametrize("command, setting, message", (
+    ("decay", "decay.partitions=2x2;0x2",
+     "[decay] partitions: partitions entry '0x2': bad partition counts (0, 2) for dim 2"),
+    ("precond-study", "precond.rows=41,2x2,4",
+     "[precond] rows: rows entry '41,2x2,4': axis 0: 41 interior cells not divisible"),
+    ("convergence", "convergence.meshes=40,41",
+     f"[convergence] meshes: meshes entry '41': {{path}}:{_small_line('counts = 2,2')}: "
+     "axis 0: 41 interior cells not divisible"),
+), ids=("decay", "precond", "convergence"))
+def test_study_error_locates_only_keys_the_user_set(small_ini, tmp_path, capsys, command,
+                                                    setting, message):
+    _exits_2_without_traceback(
+        capsys, [command, "--config", small_ini, "--out", tmp_path / "out", "--set", setting],
+        message.format(path=small_ini),
+    )
+
+
 # ROADMAP item 16's reproductions: each exited 0 and ignored the misspelling
 @pytest.mark.parametrize("command, settings, environ, edit, message", (
     ("solve", ["solver.tolerance=1e-1", "discretization.interior_cell=7",
@@ -534,7 +553,9 @@ def test_any_misspelled_key_exits_2(small_ini, tmp_path, capsys, monkeypatch, na
      "[solver] mode: unknown mode 'bogus', expected direct-ddm | gmres-ddm | global-direct",
      False),
     ("solve", ["problem.center=0.5"],
-     "[problem] center: source location (0.5,) has 1 coordinates, need 2", True),
+     "[problem] center: source location (0.5,) has 1 coordinates, need 2", False),
+    ("solve", ["problem.source=shots", "problem.shots=0.5,0.5;0.5"],
+     "[problem] shots: source location (0.5,) has 1 coordinates, need 2", False),
     ("convergence", ["convergence.meshes=40,80", "problem.center=0.5"],
      "[problem] center: center must be 2 coordinates, got (0.5,)", False),
     ("solve", ["partition.counts=3,3"],
@@ -542,7 +563,8 @@ def test_any_misspelled_key_exits_2(small_ini, tmp_path, capsys, monkeypatch, na
     # the study's wavenumber is omega / speed: speed 0 was a ZeroDivisionError
     ("convergence", ["convergence.meshes=40,80", "problem.speed=0"],
      "[problem] speed: speed must be finite and > 0, got 0.0", False),
-), ids=("mode", "center", "convergence_center", "partition_counts", "convergence_speed"))
+), ids=("mode", "center", "shots", "convergence_center", "partition_counts",
+        "convergence_speed"))
 def test_bad_value_names_its_key(small_ini, tmp_path, capsys, monkeypatch, command,
                                  settings, message, assembles):
     """The message names the key; a check that needs no operator exits 2

@@ -1,6 +1,7 @@
 """Diagonal sweeping solves with transferred sources."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -61,7 +62,11 @@ def _compact_source(grid, part, index, kappa):
     c = grid.axis_coords(0)[(a + b) // 2]
     f = gaussian_source(grid, (c,) * grid.dim, kappa)
     mask = np.zeros(grid.counts, dtype=bool)
-    inner = tuple(slice(s.start + 1, s.stop - 1) for s in part.owned_slices(index))
+    # the owned nodes inside the interior, less their outer layer
+    inner = tuple(
+        slice(max(s.start, lo) + 1, min(s.stop - 1, hi))
+        for s, lo, hi in zip(part.owned(index)[0], part.interior.lo, part.interior.hi)
+    )
     mask[inner] = True
     return np.where(mask, f, 0)
 
@@ -69,6 +74,11 @@ def _compact_source(grid, part, index, kappa):
 @pytest.fixture(scope="module")
 def prob2d():
     return _setup_2d()
+
+
+@pytest.fixture(scope="module")
+def prob3d():
+    return _setup_3d()
 
 
 def test_sweep_and_source_directions():
@@ -128,9 +138,7 @@ def test_exact_for_constant_media(prob2d):
 def test_emission_counts_center_source(prob2d):
     grid, part, ops, gop, kappa = prob2d
     f = _compact_source(grid, part, (2, 2), kappa)
-    _, report = diagonal_sweep_solve(
-        f, part, ops, FactorizationCache(), record_events=True
-    )
+    _, report = diagonal_sweep_solve(f, part, ops, FactorizationCache())
     emitted = {}
     for event in report.events:
         if event["nonzero"]:
@@ -167,7 +175,7 @@ def test_psi_called_only_inside_partition(prob2d, monkeypatch):
     rng = np.random.default_rng(6)
     f = rng.normal(size=grid.counts) + 1j * rng.normal(size=grid.counts)
     _, report = diagonal_sweep_solve(
-        f, part, ops, FactorizationCache(), record_events=True, warn_collar=False
+        f, part, ops, FactorizationCache(), warn_collar=False
     )
     for index, direction in calls:
         target = tuple(i + c for i, c in zip(index, direction))
@@ -181,12 +189,39 @@ def test_psi_called_only_inside_partition(prob2d, monkeypatch):
     assert part.transfer_directions((1, 1)) == ((0, 1), (1, 0), (1, 1))
 
 
-@pytest.mark.parametrize("dim, nonzero_solves", ((2, 9), (3, 27)), ids=("2d", "3d"))
-def test_additive_matches_diagonal(prob2d, dim, nonzero_solves):
+@pytest.mark.parametrize("engine", (diagonal_sweep_solve, additive_ddm_solve),
+                         ids=("diagonal", "additive"))
+@pytest.mark.parametrize("dim", (2, 3), ids=("2d", "3d"))
+def test_engines_record_consistent_events(prob2d, prob3d, monkeypatch, engine, dim):
+    """Every scheduled task of either engine records one event, and the
+    events add up to the report's counters."""
     if dim == 2:
         grid, part, ops, _, kappa = prob2d
     else:
-        grid, part, ops, kappa = _setup_3d()
+        grid, part, ops, kappa = prob3d
+    real, calls = diagsweep.ddm.psi, []
+
+    def counting_psi(*args, **kwargs):  # re-bound as the benchmark's tracer does
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagsweep.ddm, "psi", counting_psi)
+    f = _compact_source(grid, part, (2,) * dim, kappa)
+    _, report = engine(f, part, ops, FactorizationCache())
+    events = report.events
+    assert len(events) == report.solves
+    assert sum(e["nonzero"] for e in events) == report.nonzero_solves
+    assert math.isclose(sum(e["solve_s"] for e in events), report.solve_s, rel_tol=1e-12)
+    emitted = sum(e["sources_emitted"] for e in events)
+    assert calls and emitted + report.discarded_sources == len(calls)
+
+
+@pytest.mark.parametrize("dim, nonzero_solves", ((2, 9), (3, 27)), ids=("2d", "3d"))
+def test_additive_matches_diagonal(prob2d, prob3d, dim, nonzero_solves):
+    if dim == 2:
+        grid, part, ops, _, kappa = prob2d
+    else:
+        grid, part, ops, kappa = prob3d
     center = (2,) * dim
     f = _compact_source(grid, part, center, kappa)
     cache = FactorizationCache()
@@ -196,9 +231,13 @@ def test_additive_matches_diagonal(prob2d, dim, nonzero_solves):
     assert rel < 1e-12
     assert report.solves == math.prod(part.counts) * (sum(part.counts) - dim + 1)
     assert report.nonzero_solves == nonzero_solves
-    assert report.first_nonzero_step[center] == 1
+    first_nonzero_step = {}
+    for event in report.events:
+        if event["nonzero"]:
+            first_nonzero_step.setdefault(tuple(event["subdomain"]), event["step"])
+    assert first_nonzero_step[center] == 1
     # the far corner is |(1,...,1)|_1 = dim transfer steps away
-    assert report.first_nonzero_step[(1,) * dim] == dim + 1
+    assert first_nonzero_step[(1,) * dim] == dim + 1
 
 
 def test_octant_partials_converge_by_sweep(prob2d):
@@ -273,17 +312,13 @@ def test_3d_sweep_matches_global_solve():
     assert report.nonzero_solves == 8
 
 
-def test_event_log_roundtrip(tmp_path, prob2d):
+def test_event_log_roundtrip(prob2d):
     grid, part, ops, _, kappa = prob2d
     f = _compact_source(grid, part, (2, 2), kappa)
-    _, report = diagonal_sweep_solve(
-        f, part, ops, FactorizationCache(), record_events=True
-    )
-    path = tmp_path / "events.jsonl"
-    report.write_event_log(path)
-    import json
-
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    _, report = diagonal_sweep_solve(f, part, ops, FactorizationCache())
+    # the events are what `solve` writes to events.jsonl, one JSON line each
+    lines = [json.loads(json.dumps(event)) for event in report.events]
+    assert lines == report.events
     assert len(lines) == report.solves
     assert {tuple(e["subdomain"]) for e in lines} == set(part.subdomains())
     # per-solve seconds: zero for an unsolved zero right-hand side, and they

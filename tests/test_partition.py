@@ -80,8 +80,13 @@ def test_owned_slices_tile_the_grid():
         for index in part.subdomains():
             owned, local = part.owned(index)
             seen[owned] += 1
-            # `owned` grows the interior-only `owned_slices`
-            assert np.all(seen[part.owned_slices(index)] == 1)
+            # (lo, hi] of the box at interior faces: the breakpoint node
+            # belongs to the lower-index neighbor
+            box = part.box(index)
+            for a, (sl, i) in enumerate(zip(owned, index)):
+                assert sl.start == (box.lo[a] + 1 if i > 1 else 0)
+                last = i == part.counts[a]
+                assert sl.stop == (part.grid.counts[a] if last else box.hi[a] + 1)
             assert np.array_equal(nodes[part.window(index).slices()][local], nodes[owned])
             assert part.owned(index) is part.owned(index)  # memoized
         assert np.all(seen == 1)
