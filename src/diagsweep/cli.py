@@ -123,9 +123,10 @@ def _study(cfg: RunConfig, section: str, key: str, values) -> list:
             sub.build_partition(grid)
             sub.build_profile(grid)
         except (ConfigurationError, ModelError) as exc:
-            message = str(exc)
-            for dotted in settings:
-                message = message.removeprefix(f"{sub._where(*dotted.split('.'))}: ")
+            own = {sub._where(*dotted.split(".")) for dotted in settings}
+            head, sep, rest = str(exc).partition(": ")
+            kept = [where for where in head.split(", ") if where not in own]
+            message = f"{', '.join(kept)}{sep}{rest}" if kept else rest
             where = cfg._where(section, key)
             raise type(exc)(f"{where}: {key} entry {token!r}: {message}") from None
         variants.append((entry, sub))

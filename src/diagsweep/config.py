@@ -263,7 +263,16 @@ class RunConfig:
         try:
             return make_partition(grid, counts, d, pml)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{self._where('partition', 'counts')}: {exc}") from None
+            # name the keys the refusal depends on: counts below 1 only counts, cells
+            # the counts do not divide also interior_cells, too narrow a subdomain all
+            keys = ["interior_cells", "overlap_points", "pml_points"]
+            if min(counts) < 1:
+                keys = []
+            elif any(c % n for c, n in zip(self.interior_cells(), counts)):
+                keys = keys[:1]
+            where = [self._where("discretization", key) for key in keys]
+            where.append(self._where("partition", "counts"))
+            raise ConfigurationError(f"{', '.join(where)}: {exc}") from None
 
     def build_profile(self, grid: Grid) -> PmlProfile:
         """The absorption profile tuned to the interior mesh spacing of `grid`."""

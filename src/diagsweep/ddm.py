@@ -28,6 +28,7 @@ octant by octant; for variable media it serves as the preconditioner.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .transfer import next_usable_sweep, psi
 COLLAR_LEAK = 1e-6
 
 
+@functools.cache
 def content_cuts(direction, parent_cuts: frozenset) -> frozenset:
     """Cut set of a transferred content: (axis, side) pairs past whose
     breakpoint the content vanishes in exact arithmetic.
@@ -69,6 +71,7 @@ def solve_cuts(arrival_cuts, has_own_source: bool) -> frozenset:
     return frozenset.intersection(*arrival_cuts)
 
 
+@functools.cache
 def emits(direction, cuts: frozenset) -> bool:
     """Whether a solved subdomain emits a transferred source in `direction`.
 
@@ -143,11 +146,6 @@ def check_source(f: np.ndarray, partition: Partition, warn_collar: bool) -> None
             warnings.warn("source support leaks into the global PML collar")
 
 
-def _accumulate(combined, partition, index, u_local):
-    _, beta, (blend, local) = partition.beta00_support(index)
-    combined[blend] += beta * u_local[local]
-
-
 def _solve_and_emit(
     partition, operators, cache, index, f, arrivals, directions, combined, report
 ):
@@ -179,16 +177,14 @@ def _solve_and_emit(
     solved = time.perf_counter()
     report.solve_s += solved - start
     report.nonzero_solves += 1
-    _accumulate(combined, partition, index, u_local)
+    _, beta, (blend, support) = partition.beta00_support(index)
+    combined[blend] += beta * u_local[support]
     blended = time.perf_counter()
     report.blend_s += blended - solved
-    emitted = []
-    for direction in directions:
-        if not emits(direction, cuts):
-            continue
-        ts = psi(partition, operators, index, direction, u_local, rhs)
-        ts.cuts = content_cuts(direction, cuts)
-        emitted.append(ts)
+    emitted = [psi(partition, operators, index, direction, u_local, rhs)
+               for direction in directions if emits(direction, cuts)]
+    for ts in emitted:
+        ts.cuts = content_cuts(ts.direction, cuts)
     report.transfer_s += time.perf_counter() - blended
     return emitted
 

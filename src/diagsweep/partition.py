@@ -157,11 +157,12 @@ class Partition:
 
     @_per_instance
     def transfer_geometry(self, index: tuple[int, ...], direction: tuple[int, ...]):
-        """(target, band, ext, slices, sign, weight) of Psi_{direction; index}, or
-        None when the target lies outside the partition.  `slices` places ext
-        and band in the source window and band in the target window; `weight` =
-        prod_a (1 - beta_a) - 1 on `ext`, of length 1 off the crossed axes.
-        """
+        """(target, band, slices, keep, terms, folded) of Psi_{direction; index}, or
+        None when the target is outside the partition (see `transfer`).  `slices`
+        places the band in the source and target windows, keep = s prod (1 - beta),
+        and a term (a, side, at, v_part, delta) is the band moved below (side 0) or
+        above (1) along crossed axis a in the source window, with delta = s (w(x +-
+        e_a) - w(x)) and `at` its rows in a 1D array along a; `psi` fills `folded`."""
         target = tuple(i + c for i, c in zip(index, direction))
         if any(not 1 <= i <= n for i, n in zip(target, self.counts)):
             return None
@@ -173,13 +174,25 @@ class Partition:
             edge = self.breaks[a][index[a] + (direction[a] - 1) // 2]
             lo[a], hi[a] = sorted((edge, edge + direction[a] * self.overlap_d_points))
         band = Window(tuple(lo), tuple(hi))
-        ext = band.grow(1).intersect(both)
-        weight = _outer(ext, crossed, lambda a, x: 1.0 - self.beta_1d_nodes(
-            a, direction[a], index[a], x)) - 1.0
-        weight.flags.writeable = False
-        slices = (src_win.local_slices(ext), src_win.local_slices(band),
-                  self.window(target).local_slices(band))
-        return target, band, ext, slices, (-1.0) ** (len(crossed) + 1), weight
+        sign = (-1.0) ** (len(crossed) + 1)
+        # prod_a (1 - beta_a) = w + 1 on the band grown by one node along the crossed axes
+        prod = _outer(band.grow(1), crossed, lambda a, x: 1.0 - self.beta_1d_nodes(
+            a, direction[a], index[a], x))
+        inner = tuple(slice(1, -1) if a in crossed else slice(None) for a in range(self.dim))
+        rows = src_win.local_slices(band)
+        terms = []
+        for a, side in itertools.product(crossed, (0, 1)):
+            v_part, w_part = list(rows), list(inner)
+            v_part[a] = slice(rows[a].start + 2 * side - 1, rows[a].stop + 2 * side - 1)
+            w_part[a] = slice(2 * side, prod.shape[a] - 2 + 2 * side)
+            delta = sign * (prod[tuple(w_part)] - prod[inner])
+            at = (rows[a],) + (None,) * (self.dim - 1 - a)
+            terms.append((a, side, at, tuple(v_part), delta))
+        keep = sign * prod[inner]
+        for arr in (keep, *(term[-1] for term in terms)):
+            arr.flags.writeable = False
+        slices = (rows, self.window(target).local_slices(band))
+        return target, band, slices, keep, tuple(terms), {}
 
     def chi_indicator(
         self, direction: tuple[int, ...], index: tuple[int, ...], node: tuple[int, ...]

@@ -110,17 +110,12 @@ class DiscreteOperator:
         local = self.window.local_slices(region)
         return np.broadcast_to(self.kappa2, self.window.shape)[local]
 
-    def apply(
-        self, v: np.ndarray, region: Window | None = None, rows: Window | None = None
-    ) -> np.ndarray:
-        """Stencil action on `v` given on `region` (zero outside), on the rows
-        `rows` of `region` only (default: all of it).
+    def apply(self, v: np.ndarray, region: Window | None = None) -> np.ndarray:
+        """Stencil action on `v` given on `region` (zero outside), on `region`.
 
-        The slices and coefficient views of each (region, rows) pair are built
-        once and kept on the operator, so a call is only multiply-adds.  A plan
-        holds views of the operator's coefficients and kappa^2, never copies.
-        The sum runs kappa^2 first, then per axis the diagonal, lower and upper
-        neighbour, so any `rows` gives bit-identical values to the whole region.
+        The slices and coefficient views of each region are built once and
+        kept on the operator, so a call is only multiply-adds.  A plan holds
+        views of the operator's coefficients and kappa^2, never copies.
         """
         if region is None:
             region = self.window
@@ -128,52 +123,34 @@ class DiscreteOperator:
             raise ConfigurationError(
                 f"field shape {v.shape} does not match window {region.shape}"
             )
-        key = (region, region if rows is None else rows)
-        plan = self._plans.get(key)
+        plan = self._plans.get(region)
         if plan is None:
-            plan = self._plans[key] = self._plan(*key)
-        kappa2, rows_in_region, axes = plan
-        v_rows = v[rows_in_region]
-        out = kappa2 * v_rows
+            plan = self._plans[region] = self._plan(region)
+        kappa2, axes = plan
+        out = kappa2 * v
         for diag, neighbours in axes:
-            out += diag * v_rows
+            out += diag * v
             for out_part, v_part, coupling in neighbours:
                 out[out_part] += coupling * v[v_part]
         return out
 
-    def _plan(self, region: Window, rows: Window):
-        """(kappa^2 on rows, rows in region, per axis (diag, neighbour terms)):
-        a neighbour term adds coupling * v[v_part] to out[out_part] for the
-        rows whose neighbour along that axis lies in `region`."""
-        if self.window.intersect(region) != region or region.intersect(rows) != rows:
-            raise ConfigurationError(
-                f"rows {rows} not inside region {region} inside window {self.window}"
-            )
-        dim = self.dim
-        local = self.window.local_slices(rows)
-        rows_in_region = region.local_slices(rows)
+    def _plan(self, region: Window):
+        """(kappa^2 on region, per axis (diag, neighbour terms)): a neighbour
+        term adds coupling * v[v_part] to out[out_part] for the nodes whose
+        neighbour along that axis lies in `region`."""
+        if self.window.intersect(region) != region:
+            raise ConfigurationError(f"region {region} not inside window {self.window}")
+        local = self.window.local_slices(region)
         axes = []
         for axis, (c_lo, c_hi, diag) in enumerate(self.coefficients):
-            shape = [1] * dim
-            shape[axis] = -1
-            lo, hi, origin = rows.lo[axis], rows.hi[axis], self.window.lo[axis]
-            neighbours = []
-            for coupling, step, first, last in (
-                (c_lo, -1, max(lo, region.lo[axis] + 1), hi),
-                (c_hi, 1, lo, min(hi, region.hi[axis] - 1)),
-            ):
-                if first > last:
-                    continue
-                out_part = [slice(None)] * dim
-                out_part[axis] = slice(first - lo, last - lo + 1)
-                v_part = list(rows_in_region)
-                v_part[axis] = slice(
-                    first + step - region.lo[axis], last + step - region.lo[axis] + 1
-                )
-                view = coupling[first - origin : last - origin + 1].reshape(shape)
-                neighbours.append((tuple(out_part), tuple(v_part), view))
-            axes.append((diag[local[axis]].reshape(shape), tuple(neighbours)))
-        return self.kappa2_values(rows), rows_in_region, tuple(axes)
+            shape = [-1 if b == axis else 1 for b in range(self.dim)]
+            rows, n = local[axis], region.shape[axis]
+            lower = (slice(None),) * axis + (slice(None, -1),)  # all but the last node
+            upper = (slice(None),) * axis + (slice(1, None),)  # all but the first
+            neighbours = ((upper, lower, c_lo[rows][1:].reshape(shape)),
+                          (lower, upper, c_hi[rows][:-1].reshape(shape))) if n > 1 else ()
+            axes.append((diag[rows].reshape(shape), neighbours))
+        return self.kappa2_values(region), tuple(axes)
 
     def to_sparse(self) -> sp.csr_matrix:
         """Full sparse matrix over the window, C-ordered flattening."""

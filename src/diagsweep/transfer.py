@@ -3,35 +3,31 @@
 A solved subdomain hands its influence to a neighbor as the equivalent
 residual source
 
-    Psi_{dir; idx}(v) = s * ( r + L_{idx+dir}( (prod_a (1-beta_a) - 1) v ) ) |_band,
+    Psi_{dir; idx}(v) = s * ( r + L_{idx+dir}( w v ) ) |_band,  w = prod_a (1-beta_a) - 1,
 
 with one complementary cutoff factor (1 - beta_a) per nonzero component of
 the direction, the solved local right-hand side r, the NEIGHBOR's operator,
 and the inclusion-exclusion sign s = (-1)^(|dir|_1 + 1).  The band is the
 d+1 node layers from the shared breakpoint on (per nonzero axis; the window
-intersection along the others).  Band, sign and cutoff weight depend only on
-(index, direction): `Partition.transfer_geometry` builds them once, and the
-engines ask for Psi only along `Partition.transfer_directions`, whose targets
-lie inside the partition.
-
-The stencil is evaluated on the band rows only: the weighted v is given on
-ext, the band grown by one node, and `DiscreteOperator.apply(..., region=ext,
-rows=band)` computes no row outside the band.  The neighbor operator keeps
-the slices and coefficient views of each (ext, band) pair in a per-operator
-plan, built on first use; a plan holds only views of the operator's own
-arrays, so it adds no copies, and its sums run in the order of the whole-
-region stencil, so the values are bit-identical to it.
-
-The expression is L(prod (1-beta_a) v) on the band with the subset-free term
-L(v) replaced by the identity L(v) = r, which keeps every stencil evaluation
-inside the zone where the two subdomain operators coincide (the weight
-prod(1-beta)-1 vanishes past the band, so the neighbor operator never touches
-v across its absorption onset).  For a face direction this reduces to the
-continuum form (r - L(beta v)) chi; the corner and edge signs subtract the
-doubly covered band intersections so the target residual is delivered exactly
+intersection along the others).  For a face direction this is the continuum
+form (r - L(beta v)) chi; the corner and edge signs subtract the doubly
+covered band intersections so the target residual is delivered exactly
 once, and a reverse transfer of a pure transfer solution vanishes to
-discretization accuracy.  Sources are stored as the band's values and its
-slices in the target's window.
+discretization accuracy.
+
+No stencil is evaluated.  On the band rows the two operators coincide (both
+absorb only past the band) and the local solve gives L v = r, so with the
+couplings c_lo^a, c_hi^a to the lower and upper neighbour along axis a
+
+    L(w v)(x) = w r + sum_a sum_{+-} c_{lo,hi}^a (w(x +- e_a) - w(x)) v(x +- e_a):
+
+kappa^2 and the diagonal cancel, and so does every axis the direction does
+not cross, along which w is constant.  Psi is then s prod(1-beta) r plus two
+band terms per crossed axis, equal to the stencil form up to the rounding
+of L v = r.  `Partition.transfer_geometry` builds all but the couplings
+once per (index, direction); `psi` multiplies in the source operator's
+couplings on first use and keeps the products, band profiles of length 1
+off the crossed axes, in the geometry's `folded`.
 
 Which sweep may consume a transferred source is decided by two rules:
 
@@ -122,7 +118,14 @@ def psi(
     local right-hand side it solves.
     """
     geometry = partition.transfer_geometry(index, direction)
-    target, band, ext, (v_ext, rhs_band, target_band), sign, weight = geometry
-    correction = operators[target].apply(weight * v[v_ext], region=ext, rows=band)
-    payload = sign * (rhs[rhs_band] + correction)
-    return TransferredSource(target, tuple(direction), target_band, payload)
+    target, _, (rows, target_rows), keep, terms, folded = geometry
+    op = operators[index]
+    if op.fingerprint not in folded:  # its couplings to each neighbour on the band rows
+        folded[op.fingerprint] = tuple(
+            (delta * op.coefficients[a][side][at], v_part)
+            for a, side, at, v_part, delta in terms
+        )
+    payload = keep * rhs[rows]
+    for coupling, v_part in folded[op.fingerprint]:
+        payload += coupling * v[v_part]
+    return TransferredSource(target, tuple(direction), target_rows, payload)

@@ -579,6 +579,32 @@ def test_bad_value_names_its_key(small_ini, tmp_path, capsys, monkeypatch, comma
     _exits_2_without_traceback(capsys, args, message)
 
 
+# each partition refusal names every key it depends on, the overridden one
+# as [section] key and the others by their file line, counts last
+@pytest.mark.parametrize("setting, keys, message", (
+    ("discretization.overlap_points=40",
+     ("interior_cells = 40", "[discretization] overlap_points", "pml_points = 8", "counts = 2,2"),
+     "axis 0: subdomain size 20 smaller than overlap+pml 48"),
+    ("discretization.pml_points=200",
+     ("interior_cells = 40", "overlap_points = 4", "[discretization] pml_points", "counts = 2,2"),
+     "axis 0: subdomain size 20 smaller than overlap+pml 204"),
+    ("discretization.interior_cells=41",
+     ("[discretization] interior_cells", "counts = 2,2"),
+     "axis 0: 41 interior cells not divisible by 2 subdomains"),
+), ids=("overlap_points", "pml_points", "interior_cells"))
+def test_partition_error_names_the_keys_it_depends_on(small_ini, tmp_path, capsys, monkeypatch,
+                                                      setting, keys, message):
+    import diagsweep.cli as cli
+
+    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    where = ", ".join(key if key.startswith("[") else f"{small_ini}:{_small_line(key)}"
+                      for key in keys)
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out", "--set", setting],
+        f"{where}: {message}",
+    )
+
+
 def test_convergence_study(small_ini, tmp_path):
     out = tmp_path / "out"
     assert _run(["convergence", "--config", small_ini, "--out", out,

@@ -157,18 +157,18 @@ def _operator(dim, medium, n=15):
                              model, 6.0)
 
 
-def _row_windows(region):
+def _sub_regions(region):
     """The whole region, slabs on each of its faces, one-node-thick planes on
     them, and an inner block that touches no face."""
     out = [region, Window(tuple(l + 2 for l in region.lo), tuple(h - 2 for h in region.hi))]
     for axis, (lo, hi) in itertools.product(range(len(region.lo)), ((0, 2), (-2, 0))):
         for thick in (0, 2):
-            rows_lo, rows_hi = list(region.lo), list(region.hi)
+            sub_lo, sub_hi = list(region.lo), list(region.hi)
             if lo == 0:
-                rows_hi[axis] = region.lo[axis] + thick
+                sub_hi[axis] = region.lo[axis] + thick
             else:
-                rows_lo[axis] = region.hi[axis] - thick
-            out.append(Window(tuple(rows_lo), tuple(rows_hi)))
+                sub_lo[axis] = region.hi[axis] - thick
+            out.append(Window(tuple(sub_lo), tuple(sub_hi)))
     return out
 
 
@@ -182,36 +182,17 @@ def _plan_arrays(obj):
 
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("medium", ("constant", "layered", "raster"))
-def test_apply_on_rows_matches_whole_region(dim, medium):
-    """Rows of a region, at its faces or not, are bit-identical to the same
-    rows of the whole region's result, on every call."""
-    op = _operator(dim, medium)
-    rng = np.random.default_rng(9)
-    for region in (op.window, Window((1,) * dim, (12,) * (dim - 1) + (13,))):
-        x = rng.normal(size=region.shape) + 1j * rng.normal(size=region.shape)
-        whole = op.apply(x, region=region)
-        for rows in _row_windows(region):
-            want = whole[region.local_slices(rows)]
-            for _ in range(2):  # the second call reads the cached plan
-                assert np.array_equal(op.apply(x, region=region, rows=rows), want), rows
-    with pytest.raises(ConfigurationError):
-        op.apply(x, region=region, rows=region.grow(1))
-
-
-@pytest.mark.parametrize("dim", (2, 3))
-@pytest.mark.parametrize("medium", ("constant", "layered", "raster"))
 def test_apply_plans_hold_only_views(dim, medium):
     """Every array of a cached plan is a view of the operator's own
     coefficients or kappa^2, so plans add no copies to peak memory."""
     op = _operator(dim, medium)
-    region = Window((1,) * dim, (12,) * dim)
-    x = np.ones(region.shape, dtype=np.complex128)
-    for rows in _row_windows(region):
-        op.apply(x, region=region, rows=rows)
+    regions = _sub_regions(Window((1,) * dim, (12,) * dim))
+    for region in regions:
+        op.apply(np.ones(region.shape, dtype=np.complex128), region=region)
     op.apply(np.ones(op.window.shape, dtype=np.complex128))
     owners = [op.kappa2, *itertools.chain.from_iterable(op.coefficients)]
     arrays = [a for plan in op._plans.values() for a in _plan_arrays(plan)]
-    assert len(op._plans) == len(_row_windows(region)) + 1
+    assert len(op._plans) == len(regions) + 1
     assert len(arrays) >= len(op._plans) * (1 + dim)
     for arr in arrays:
         assert any(np.shares_memory(arr, owner) for owner in owners)
