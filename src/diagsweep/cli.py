@@ -153,9 +153,11 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
     if cfg.get("output", "quicklook"):
         write_pgm(u, out / "quicklook.pgm")
     if krylov_report is not None and cfg.get("output", "residual_csv"):
-        krylov_report.write_residual_csv(
-            out / "residuals.csv", f"config sha256: {cfg.sha256}"
-        )
+        history = zip(krylov_report.residuals, krylov_report.times,
+                      [""] + krylov_report.precond_times)  # row 0 applies no preconditioner
+        _write_csv(out / "residuals.csv", cfg, ["iteration", "relative_residual",
+                                                "cumulative_seconds", "precond_seconds"],
+                   [(k, f"{res:.6e}", f"{t:.6f}", p) for k, (res, t, p) in enumerate(history)])
     if ddm_report is not None and event_log:
         lines = (json.dumps(event) + "\n" for event in ddm_report.events)
         (out / "events.jsonl").write_text("".join(lines))
@@ -183,8 +185,8 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
     table, prev = [], None
     for cells, sub in variants:
+        f = sub.build_source(sub.build_grid(), rng)  # a zero source exits 2 before assembly
         grid, partition, operators, gop = _build_problem(sub)
-        f = sub.build_source(grid, rng)
         u, _, _, _ = _solve_once(sub, f, partition, operators, gop)
         ref = radial_solution(grid, center, kappa, profile=source)
         h = min(grid.spacing)

@@ -323,11 +323,15 @@ class RunConfig:
             key, count = "n_shots", self.get("problem", "n_shots")
             locs = [tuple(rng.uniform(a, b) for a, b in interior) for _ in range(count)]
         try:  # a source location of the wrong length or outside the interior
-            if kind == "gaussian":
-                return gaussian_source(grid, locs[0], omega, interior)
-            return point_shots(grid, locs, interior)
+            if kind != "gaussian":
+                return point_shots(grid, locs, interior)
+            f = gaussian_source(grid, locs[0], omega, interior)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{self._where('problem', key)}: {exc}") from None
+        if not np.any(f):  # its width shrinks as 1/frequency, so it can underflow
+            where = ", ".join(self._where("problem", k) for k in ("source", "frequency"))
+            raise ConfigurationError(f"{where}: source gaussian is zero on every grid node")
+        return f
 
     def pipeline_spec(self) -> PipelineSpec:
         """The pipeline model's spec, each size and cost validated."""

@@ -181,7 +181,7 @@ def _solve_and_emit(
     combined[blend] += beta * u_local[support]
     blended = time.perf_counter()
     report.blend_s += blended - solved
-    emitted = [psi(partition, operators, index, direction, u_local, rhs)
+    emitted = [psi(partition, index, direction, u_local, rhs)
                for direction in directions if emits(direction, cuts)]
     for ts in emitted:
         ts.cuts = content_cuts(ts.direction, cuts)

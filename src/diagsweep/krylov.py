@@ -11,7 +11,6 @@ A M^-1 is singular on the Krylov space and raises `SolverError`.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -32,17 +31,6 @@ class SolveReport:
     residuals: list = field(default_factory=list)  # relative; true at each cycle's end
     times: list = field(default_factory=list)  # cumulative seconds
     precond_times: list = field(default_factory=list)
-
-    def write_residual_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "relative_residual", "cumulative_seconds",
-                             "precond_seconds"])
-            precond = [""] + self.precond_times  # row 0 applies no preconditioner
-            for k, (res, t, p) in enumerate(zip(self.residuals, self.times, precond)):
-                writer.writerow([k, f"{res:.6e}", f"{t:.6f}", p])
 
 
 def gmres(

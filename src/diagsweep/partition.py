@@ -157,12 +157,13 @@ class Partition:
 
     @_per_instance
     def transfer_geometry(self, index: tuple[int, ...], direction: tuple[int, ...]):
-        """(target, band, slices, keep, terms, folded) of Psi_{direction; index}, or
-        None when the target is outside the partition (see `transfer`).  `slices`
+        """(target, band, slices, keep, terms) of Psi_{direction; index}, or None
+        when the target is outside the partition (see `transfer`).  `slices`
         places the band in the source and target windows, keep = s prod (1 - beta),
-        and a term (a, side, at, v_part, delta) is the band moved below (side 0) or
-        above (1) along crossed axis a in the source window, with delta = s (w(x +-
-        e_a) - w(x)) and `at` its rows in a 1D array along a; `psi` fills `folded`."""
+        and a term (coupling, v_part) is the band moved one node below, then above,
+        along each crossed axis a in the source window, with coupling = s (w(x +-
+        e_a) - w(x)) / h_a^2: the unstretched band's coupling to that neighbour is
+        1/h_a^2.  The arrays are read-only."""
         target = tuple(i + c for i, c in zip(index, direction))
         if any(not 1 <= i <= n for i, n in zip(target, self.counts)):
             return None
@@ -185,14 +186,14 @@ class Partition:
             v_part, w_part = list(rows), list(inner)
             v_part[a] = slice(rows[a].start + 2 * side - 1, rows[a].stop + 2 * side - 1)
             w_part[a] = slice(2 * side, prod.shape[a] - 2 + 2 * side)
-            delta = sign * (prod[tuple(w_part)] - prod[inner])
-            at = (rows[a],) + (None,) * (self.dim - 1 - a)
-            terms.append((a, side, at, tuple(v_part), delta))
+            h = self.grid.spacing[a]
+            coupling = sign * (prod[tuple(w_part)] - prod[inner]) * (1.0 / (h * h))
+            terms.append((coupling, tuple(v_part)))
         keep = sign * prod[inner]
-        for arr in (keep, *(term[-1] for term in terms)):
+        for arr in (keep, *(coupling for coupling, _ in terms)):
             arr.flags.writeable = False
         slices = (rows, self.window(target).local_slices(band))
-        return target, band, slices, keep, tuple(terms), {}
+        return target, band, slices, keep, tuple(terms)
 
     def chi_indicator(
         self, direction: tuple[int, ...], index: tuple[int, ...], node: tuple[int, ...]

@@ -229,9 +229,10 @@ def assemble_operator(
                 f"window overhang smaller than the PML width on axis {axis}"
             )
         # At interior faces, absorption starts one node past the overlap so
-        # that neighboring operators share identical stencil rows on the whole
-        # transfer band; the residual substitution in the source transfer is
-        # then exact there.
+        # that neighboring operators share identical, unstretched stencil rows
+        # on the whole transfer band.  `transfer.psi` depends on it: it
+        # substitutes the residual there and takes every band coupling as
+        # 1/h^2 without reading an operator.
         if shift_lo > 0:
             shift_lo += 1
         if shift_hi > 0:

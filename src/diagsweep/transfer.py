@@ -15,19 +15,21 @@ covered band intersections so the target residual is delivered exactly
 once, and a reverse transfer of a pure transfer solution vanishes to
 discretization accuracy.
 
-No stencil is evaluated.  On the band rows the two operators coincide (both
-absorb only past the band) and the local solve gives L v = r, so with the
-couplings c_lo^a, c_hi^a to the lower and upper neighbour along axis a
+No stencil is evaluated and no operator is read.  On the band rows the two
+operators coincide and the local solve gives L v = r.  Both absorb only past
+the band (`pml.assemble_operator` starts the PML one node past the overlap),
+so every band row is unstretched: its couplings to the lower and upper
+neighbour along axis a are both 1/h_a^2, and
 
-    L(w v)(x) = w r + sum_a sum_{+-} c_{lo,hi}^a (w(x +- e_a) - w(x)) v(x +- e_a):
+    L(w v)(x) = w r + sum_a sum_{+-} (w(x +- e_a) - w(x)) v(x +- e_a) / h_a^2:
 
 kappa^2 and the diagonal cancel, and so does every axis the direction does
 not cross, along which w is constant.  Psi is then s prod(1-beta) r plus two
 band terms per crossed axis, equal to the stencil form up to the rounding
-of L v = r.  `Partition.transfer_geometry` builds all but the couplings
-once per (index, direction); `psi` multiplies in the source operator's
-couplings on first use and keeps the products, band profiles of length 1
-off the crossed axes, in the geometry's `folded`.
+of L v = r, and it needs only the partition, r and v.
+`Partition.transfer_geometry` builds keep = s prod(1-beta) and each term's
+coupling s (w(x +- e_a) - w(x)) / h_a^2 once per (index, direction), band
+profiles of length 1 off the crossed axes.
 
 Which sweep may consume a transferred source is decided by two rules:
 
@@ -104,7 +106,6 @@ def next_usable_sweep(src_dir: tuple[int, ...], gen_sweep: int) -> int | None:
 
 def psi(
     partition: Partition,
-    operators: dict,
     index: tuple[int, ...],
     direction: tuple[int, ...],
     v: np.ndarray,
@@ -117,15 +118,8 @@ def psi(
     `v` is the local solution on the source subdomain's window and `rhs` the
     local right-hand side it solves.
     """
-    geometry = partition.transfer_geometry(index, direction)
-    target, _, (rows, target_rows), keep, terms, folded = geometry
-    op = operators[index]
-    if op.fingerprint not in folded:  # its couplings to each neighbour on the band rows
-        folded[op.fingerprint] = tuple(
-            (delta * op.coefficients[a][side][at], v_part)
-            for a, side, at, v_part, delta in terms
-        )
+    target, _, (rows, target_rows), keep, terms = partition.transfer_geometry(index, direction)
     payload = keep * rhs[rows]
-    for coupling, v_part in folded[op.fingerprint]:
+    for coupling, v_part in terms:
         payload += coupling * v[v_part]
     return TransferredSource(target, tuple(direction), target_rows, payload)

@@ -579,6 +579,27 @@ def test_bad_value_names_its_key(small_ini, tmp_path, capsys, monkeypatch, comma
     _exits_2_without_traceback(capsys, args, message)
 
 
+@pytest.mark.parametrize("command, settings", (
+    ("solve", ["solver.mode=direct-ddm"]),
+    ("solve", ["solver.mode=gmres-ddm"]),
+    ("solve", ["solver.mode=global-direct"]),
+    ("decay", ["decay.partitions=2x2"]),
+    ("convergence", ["convergence.meshes=40,80"]),
+), ids=("direct-ddm", "gmres-ddm", "global-direct", "decay", "convergence"))
+def test_zero_source_exits_2(small_ini, tmp_path, capsys, monkeypatch, command, settings):
+    """A Gaussian that underflows on every node is refused before assembly:
+    it used to give an all-zero field and a NaN residual, or a decay study
+    that "reached the floor"."""
+    import diagsweep.cli as cli
+
+    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    args = [command, "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in ["problem.frequency=1000", *settings]:
+        args += ["--set", setting]
+    _exits_2_without_traceback(
+        capsys, args, "[problem] frequency: source gaussian is zero on every grid node")
+
+
 # each partition refusal names every key it depends on, the overridden one
 # as [section] key and the others by their file line, counts last
 @pytest.mark.parametrize("setting, keys, message", (

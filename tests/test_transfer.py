@@ -113,7 +113,7 @@ def test_psi_band_geometry():
     rhs = rng.normal(size=win.shape) + 0j
     d = part.overlap_d_points
     bk = part.breaks[0][1]
-    ts = psi(part, ops, (1, 1), (1, 0), v, rhs)
+    ts = psi(part, (1, 1), (1, 0), v, rhs)
     assert ts.target == (2, 1)
     band = part.transfer_geometry((1, 1), (1, 0))[1]
     assert band.lo[0] == bk and band.hi[0] == bk + d
@@ -137,7 +137,7 @@ def test_psi_outside_band_content_zero():
     v = np.zeros(win.shape, dtype=np.complex128)
     v[: bk - win.lo[0] - d - 2, :] = 1.0  # vanishes well before the cutoff ramp
     rhs = np.zeros(win.shape, dtype=np.complex128)
-    ts = psi(part, ops, (1, 1), (1, 0), v, rhs)
+    ts = psi(part, (1, 1), (1, 0), v, rhs)
     np.testing.assert_allclose(ts.values, 0.0, atol=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_psi_reproduces_cutoff_solution_on_neighbor():
     rhs[(box.lo[0] + box.hi[0]) // 2 - win.lo[0],
         (box.lo[1] + box.hi[1]) // 2 - win.lo[1]] = 1.0
     u_src = factorize(ops[src_idx]).solve(rhs)
-    ts = psi(part, ops, src_idx, (1, 0), u_src, rhs)
+    ts = psi(part, src_idx, (1, 0), u_src, rhs)
     nb_win = part.window(nb_idx)
     nb_rhs = np.zeros(nb_win.shape, dtype=np.complex128)
     nb_rhs[ts.slices] = ts.values
@@ -264,15 +264,26 @@ def _reference_beta00(part, index):
 @pytest.mark.parametrize("dim", (2, 3))
 def test_psi_and_beta00_match_per_call_geometry(dim):
     """The partition's cached geometry gives bit-identical transfers and
-    blends for every (index, direction), twice in a row."""
+    blends for every (index, direction), twice in a row, on a mesh of equal
+    spacing and on one whose spacing differs per axis, in each medium: Psi's
+    1/h_a^2 couplings are the source operator's on the band."""
     pml, d, per = 3, 2, 6
     n = 3 * per + 2 * pml + 1
-    grid = make_grid(((0, 1),) * dim, (n,) * dim)
-    part = make_partition(grid, (3,) * dim, d, pml)
-    profile = PmlProfile(pml, d, tuned_sigma_max(10.0, pml / (3 * per)))
-    ops = build_operators(part, profile, constant_model(1.0), 10.0)
     rng = np.random.default_rng(3)
-    directions = [c for c in itertools.product((-1, 0, 1), repeat=dim) if any(c)]
+    equal, unequal = ((0, 1),) * dim, ((0, 1), (0, 1.7), (0, 0.6))[:dim]
+    raster = RasterModel(((0.0, 1.0),) * dim, rng.uniform(1.0, 2.0, (4,) * dim))
+    layered = layered_model((0.4, 0.7), (1.0, 2.0, 1.5))
+    for extents, model in ((equal, constant_model(1.0)), (unequal, constant_model(1.0)),
+                           (unequal, layered), (unequal, raster)):
+        grid = make_grid(extents, (n,) * dim)
+        part = make_partition(grid, (3,) * dim, d, pml)
+        profile = PmlProfile(pml, d, tuned_sigma_max(10.0, pml / (3 * per)))
+        ops = build_operators(part, profile, model, 10.0)
+        _check_cached_geometry(part, ops, rng)
+
+
+def _check_cached_geometry(part, ops, rng):
+    directions = [c for c in itertools.product((-1, 0, 1), repeat=part.dim) if any(c)]
     for index in part.subdomains():
         shape = part.window(index).shape
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -283,7 +294,7 @@ def test_psi_and_beta00_match_per_call_geometry(dim):
                 assert direction not in part.transfer_directions(index), (index, direction)
                 continue
             for _ in range(2):
-                got = psi(part, ops, index, direction, v, rhs)
+                got = psi(part, index, direction, v, rhs)
                 target, band, payload = want
                 assert got.target == target, (index, direction)
                 assert got.slices == part.window(target).local_slices(band), (index, direction)
@@ -321,7 +332,7 @@ def test_psi_matches_the_neighbour_stencil_on_solved_fields(dim, medium):
         r = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         v = factorize(ops[index]).solve(r)
         for direction in part.transfer_directions(index):
-            got = psi(part, ops, index, direction, v, r).values
+            got = psi(part, index, direction, v, r).values
             want = _stencil_psi(part, ops, index, direction, v, r)
             worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
     assert worst < 1e-12
