@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .ddm import build_global_operator, build_operators, diagonal_sweep_solve
-from .errors import ConfigurationError, ModelError, SolverError
+from .errors import ConfigurationError, SolverError
 from .grid import ComplexField, dump_field, field_error, write_pgm
 from .krylov import gmres
 from .media import point_shots
@@ -122,13 +122,13 @@ def _study(cfg: RunConfig, section: str, key: str, values) -> list:
             grid = sub.build_grid()
             sub.build_partition(grid)
             sub.build_profile(grid)
-        except (ConfigurationError, ModelError) as exc:
+        except ConfigurationError as exc:
             own = {sub._where(*dotted.split(".")) for dotted in settings}
             head, sep, rest = str(exc).partition(": ")
             kept = [where for where in head.split(", ") if where not in own]
             message = f"{', '.join(kept)}{sep}{rest}" if kept else rest
             where = cfg._where(section, key)
-            raise type(exc)(f"{where}: {key} entry {token!r}: {message}") from None
+            raise ConfigurationError(f"{where}: {key} entry {token!r}: {message}") from None
         variants.append((entry, sub))
     return variants
 
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
         return _COMMANDS[args.command](cfg, out, rng)
-    except (ConfigurationError, ModelError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

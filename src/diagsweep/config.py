@@ -21,12 +21,11 @@ import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partialmethod
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError
+from .errors import ConfigurationError
 from .grid import Grid, make_grid
 from .media import (
     constant_model,
@@ -94,6 +93,8 @@ _POSITIVE = _must(lambda v: np.isfinite(v) and v > 0, "finite and > 0")
 _NONNEGATIVE = _must(lambda v: np.isfinite(v) and v >= 0, "finite and >= 0")
 _NONEMPTY = _must(bool, "a non-empty list")
 _NO_SHOTS = "no shots, so the source is zero"  # shot weights never cancel
+_INTERVALS = _must(lambda pairs: all(len(p) == 2 and np.all(np.isfinite(p)) and p[0] < p[1]
+                                 for p in pairs), "lo,hi pairs, each finite with lo < hi")
 
 
 # a key without a default is absent unless set
@@ -101,7 +102,7 @@ Key = namedtuple("Key", "parse check default", defaults=(None, None))
 KEYS = {
     ("problem", "dim"): Key(_INT, _must(lambda v: v in (2, 3), "2 or 3"), "2"),
     ("problem", "frequency"): Key(_FLOAT, _POSITIVE, "10"),
-    ("problem", "interior"): Key(_PAIRS, None, "0,1; 0,1"),
+    ("problem", "interior"): Key(_PAIRS, _INTERVALS, "0,1; 0,1"),
     ("problem", "medium"): Key(str, _one_of("constant", "layered", "raster"), "constant"),
     ("problem", "speed"): Key(_FLOAT, _POSITIVE, "1.0"),
     ("problem", "depths"): Key(_FLOATS),
@@ -180,12 +181,11 @@ class RunConfig:
                 f"{self._where(section, key)}: {key} must be {what}, got {value}"
             )
 
-    def get(self, section: str, key: str, parse=None):
-        """[section] key read by `parse`, or, without it, parsed and checked
-        as `KEYS` says."""
+    def get(self, section: str, key: str):
+        """[section] key, parsed and checked as `KEYS` says."""
         if key not in self.values.get(section, {}):
             raise ConfigurationError(f"missing configuration key [{section}] {key}")
-        spec = KEYS[section, key] if parse is None else Key(parse)
+        spec = KEYS[section, key]
         try:
             value = spec.parse(self.values[section][key])
         except ValueError as exc:
@@ -193,18 +193,6 @@ class RunConfig:
         if complaint := spec.check and spec.check(key, value):
             raise ConfigurationError(f"{self._where(section, key)}: {complaint}")
         return value
-
-    # typed reads of any key, without the check of `KEYS`
-    getint = partialmethod(get, parse=_INT)
-    getfloat = partialmethod(get, parse=_FLOAT)
-    getbool = partialmethod(get, parse=_BOOL)
-    getpairs = partialmethod(get, parse=_PAIRS)
-
-    def getlist(self, section, key, cast=str):
-        return self.get(section, key, _entries(",", cast))
-
-    def getentries(self, section, key, sep, parse):
-        return self.get(section, key, _entries(sep, parse))
 
     @property
     def sha256(self) -> str:
@@ -227,7 +215,7 @@ class RunConfig:
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
         pairs = self.get("problem", "interior")
-        ok = len(pairs) == self.dim and all(len(p) == 2 for p in pairs)
+        ok = len(pairs) == self.dim
         self._require(ok, "problem", "interior", f"{self.dim} lo,hi pairs", pairs)
         return tuple(pairs)
 
@@ -285,7 +273,11 @@ class RunConfig:
             for (a, b), m in zip(self.interior_extents(), grid.counts)
         )
         sigma = tuned_sigma_max(self.omega, pml * h, exponent, damping)
-        return PmlProfile(pml, d, sigma, exponent)
+        try:  # a huge damping overflows sigma_max
+            return PmlProfile(pml, d, sigma, exponent)
+        except ConfigurationError as exc:
+            where = self._where("discretization", "damping")
+            raise ConfigurationError(f"{where}: {exc}") from None
 
     def build_model(self):
         kind = self.get("problem", "medium")
@@ -296,9 +288,9 @@ class RunConfig:
             speeds = self.get("problem", "speeds")
             try:
                 return layered_model(tuple(depths), tuple(speeds))
-            except ModelError as exc:
+            except ConfigurationError as exc:
                 key = "depths" if "depths" in str(exc) else "speeds"  # ordering check
-                raise ModelError(f"{self._where('problem', key)}: {exc}") from None
+                raise ConfigurationError(f"{self._where('problem', key)}: {exc}") from None
         model = load_velocity(self.get("problem", "raster_path"))
         if model.samples.ndim != self.dim:
             raise ConfigurationError(

@@ -2,11 +2,8 @@
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent or invalid problem setup (geometry, partition, config file)."""
-
-
-class ModelError(ValueError):
-    """Invalid medium or source specification."""
+    """Inconsistent or invalid problem setup (geometry, partition, medium,
+    source, config file)."""
 
 
 class SolverError(RuntimeError):

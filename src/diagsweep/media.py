@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError
+from .errors import ConfigurationError
 from .grid import Grid
 from .reference import gaussian_amplitude
 
@@ -24,7 +24,7 @@ class ConstantModel:
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
-            raise ModelError(f"speed must be finite and > 0, got {self.c}")
+            raise ConfigurationError(f"speed must be finite and > 0, got {self.c}")
 
     def speed_at(self, points: np.ndarray) -> np.ndarray:
         return np.full(points.shape[:-1], self.c)
@@ -44,13 +44,13 @@ class LayeredModel:
 
     def __post_init__(self):
         if len(self.speeds) != len(self.depths) + 1:
-            raise ModelError("need exactly one more speed than interface depth")
+            raise ConfigurationError("need exactly one more speed than interface depth")
         if not all(math.isfinite(s) and s > 0 for s in self.speeds):
-            raise ModelError(f"layer speeds must be finite and > 0, got {self.speeds}")
+            raise ConfigurationError(f"layer speeds must be finite and > 0, got {self.speeds}")
         if not all(math.isfinite(d) for d in self.depths):
-            raise ModelError(f"interface depths must be finite, got {self.depths}")
+            raise ConfigurationError(f"interface depths must be finite, got {self.depths}")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
-            raise ModelError("interface depths must be strictly increasing")
+            raise ConfigurationError("interface depths must be strictly increasing")
 
     def speed_of_depth(self, depth: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.depths), depth, side="right")
@@ -73,9 +73,10 @@ class RasterModel:
 
     def __post_init__(self):
         if not all(math.isfinite(a) and math.isfinite(b) and a < b for a, b in self.extents):
-            raise ModelError(f"raster extents must be finite with lo < hi, got {self.extents}")
+            raise ConfigurationError(
+                f"raster extents must be finite with lo < hi, got {self.extents}")
         if not np.all(np.isfinite(self.samples) & (self.samples > 0)):
-            raise ModelError("raster speeds must be finite and > 0")
+            raise ConfigurationError("raster speeds must be finite and > 0")
 
     def speed_at(self, points: np.ndarray) -> np.ndarray:
         # imported here: scipy.ndimage adds ~60 ms to importing the package
@@ -115,22 +116,22 @@ def load_velocity(path) -> RasterModel:
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".json")
     if not path.exists() or not sidecar.exists():
-        raise ModelError(f"missing raster file or sidecar for {path}")
+        raise ConfigurationError(f"missing raster file or sidecar for {path}")
     try:
         meta = json.loads(sidecar.read_text())
         counts = tuple(int(n) for n in meta["counts"])
         extents = tuple((float(a), float(b)) for a, b in meta["extents"])
         if len(extents) != len(counts):
-            raise ModelError(f"{len(counts)} counts but {len(extents)} extents")
+            raise ConfigurationError(f"{len(counts)} counts but {len(extents)} extents")
         if any(n < 1 for n in counts):
-            raise ModelError(f"raster counts must be >= 1, got {counts}")
+            raise ConfigurationError(f"raster counts must be >= 1, got {counts}")
         if meta["dtype"] != "f32le":
-            raise ModelError(f"unsupported raster dtype {meta['dtype']!r}")
+            raise ConfigurationError(f"unsupported raster dtype {meta['dtype']!r}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed raster sidecar {sidecar}: {exc}") from exc
+        raise ConfigurationError(f"malformed raster sidecar {sidecar}: {exc}") from exc
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != math.prod(counts):
-        raise ModelError(
+        raise ConfigurationError(
             f"raster size {raw.size} does not match sidecar counts {counts}"
         )
     samples = np.ascontiguousarray(raw.reshape(counts, order="F"))

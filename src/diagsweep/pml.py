@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, ModelError
+from .errors import ConfigurationError
 from .grid import Grid, Window
 from .media import ConstantModel, LayeredModel, VelocityModel
 
@@ -59,8 +59,8 @@ class PmlProfile:
             raise ConfigurationError("pml width and overlap must be >= 1 point")
         if self.exponent < 1:
             raise ConfigurationError(f"exponent must be >= 1, got {self.exponent}")
-        if not self.sigma_max >= 0:
-            raise ConfigurationError(f"sigma_max must be >= 0, got {self.sigma_max}")
+        if not (np.isfinite(self.sigma_max) and self.sigma_max >= 0):
+            raise ConfigurationError(f"sigma_max must be finite and >= 0, got {self.sigma_max}")
 
     def ramp(self, t, shift_points: int, width_points: int):
         """sigma at t grid points past a box face, zero for t <= shift_points."""
@@ -80,7 +80,7 @@ def tuned_sigma_max(
     return damping * (exponent + 1) / (2.0 * kappa * pml_width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """The assembled PML Helmholtz stencil on one window of the global grid."""
 
@@ -88,7 +88,6 @@ class DiscreteOperator:
     # per axis, the couplings to the lower and upper neighbour and the diagonal
     coefficients: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     kappa2: np.ndarray  # broadcasts to the window shape, length 1 where constant
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -103,54 +102,32 @@ class DiscreteOperator:
         c_lo, c_hi, diag = self.coefficients[axis]
         return c_lo[1:], diag, c_hi[:-1]
 
-    def kappa2_values(self, region: Window | None = None) -> np.ndarray:
-        """kappa^2 on the (sub)window, as a read-only broadcast view."""
-        if region is None:
-            region = self.window
-        local = self.window.local_slices(region)
-        return np.broadcast_to(self.kappa2, self.window.shape)[local]
-
     def apply(self, v: np.ndarray, region: Window | None = None) -> np.ndarray:
-        """Stencil action on `v` given on `region` (zero outside), on `region`.
+        """Stencil action on `v` given on the whole window.
 
-        The slices and coefficient views of each region are built once and
-        kept on the operator, so a call is only multiply-adds.  A plan holds
-        views of the operator's coefficients and kappa^2, never copies.
+        `region` may only be the window itself, for callers that name the
+        region they apply on, such as the benchmark's GMRES matvec; any other
+        region raises.  No solver path applies an operator on part of its
+        window: the source transfer reads only the residual and the
+        partition's geometry.
         """
-        if region is None:
-            region = self.window
-        if v.shape != region.shape:
+        if region is not None and region != self.window:
             raise ConfigurationError(
-                f"field shape {v.shape} does not match window {region.shape}"
+                f"apply takes the whole window {self.window}, got region {region}"
             )
-        plan = self._plans.get(region)
-        if plan is None:
-            plan = self._plans[region] = self._plan(region)
-        kappa2, axes = plan
-        out = kappa2 * v
-        for diag, neighbours in axes:
-            out += diag * v
-            for out_part, v_part, coupling in neighbours:
-                out[out_part] += coupling * v[v_part]
-        return out
-
-    def _plan(self, region: Window):
-        """(kappa^2 on region, per axis (diag, neighbour terms)): a neighbour
-        term adds coupling * v[v_part] to out[out_part] for the nodes whose
-        neighbour along that axis lies in `region`."""
-        if self.window.intersect(region) != region:
-            raise ConfigurationError(f"region {region} not inside window {self.window}")
-        local = self.window.local_slices(region)
-        axes = []
+        if v.shape != self.window.shape:
+            raise ConfigurationError(
+                f"field shape {v.shape} does not match window {self.window.shape}"
+            )
+        out = self.kappa2 * v
         for axis, (c_lo, c_hi, diag) in enumerate(self.coefficients):
             shape = [-1 if b == axis else 1 for b in range(self.dim)]
-            rows, n = local[axis], region.shape[axis]
             lower = (slice(None),) * axis + (slice(None, -1),)  # all but the last node
             upper = (slice(None),) * axis + (slice(1, None),)  # all but the first
-            neighbours = ((upper, lower, c_lo[rows][1:].reshape(shape)),
-                          (lower, upper, c_hi[rows][:-1].reshape(shape))) if n > 1 else ()
-            axes.append((diag[rows].reshape(shape), neighbours))
-        return self.kappa2_values(region), tuple(axes)
+            out += diag.reshape(shape) * v
+            out[upper] += c_lo[1:].reshape(shape) * v[lower]
+            out[lower] += c_hi[:-1].reshape(shape) * v[upper]
+        return out
 
     def to_sparse(self) -> sp.csr_matrix:
         """Full sparse matrix over the window, C-ordered flattening."""
@@ -162,7 +139,8 @@ class DiscreteOperator:
                 eye = [sp.identity(n, format="csr") for n in (total.shape[0], T.shape[0])]
                 T = sp.kron(total, eye[1], "csr") + sp.kron(eye[0], T, "csr")
             total = T
-        return (total + sp.diags(self.kappa2_values().ravel())).tocsr()
+        kappa2 = np.broadcast_to(self.kappa2, self.window.shape)
+        return (total + sp.diags(kappa2.ravel())).tocsr()
 
     @cached_property
     def fingerprint(self) -> str:
@@ -194,7 +172,7 @@ def _kappa2(grid, window, velocity, omega, clamp_box):
     mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
     speed = velocity.speed_at(mesh)
     if np.any(speed <= 0):
-        raise ModelError("nonpositive velocity inside operator window")
+        raise ConfigurationError("nonpositive velocity inside operator window")
     return (omega / speed) ** 2
 
 

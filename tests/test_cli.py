@@ -600,6 +600,31 @@ def test_zero_source_exits_2(small_ini, tmp_path, capsys, monkeypatch, command, 
         capsys, args, "[problem] frequency: source gaussian is zero on every grid node")
 
 
+_BAD_INTERIOR = "[problem] interior: interior must be lo,hi pairs, each finite with lo < hi"
+
+
+@pytest.mark.parametrize("mode", ("direct-ddm", "gmres-ddm", "global-direct"))
+@pytest.mark.parametrize("setting, message", (
+    ("problem.interior=-inf,1; 0,1", _BAD_INTERIOR),
+    ("problem.interior=0,inf; 0,1", _BAD_INTERIOR),
+    ("problem.interior=1,0; 0,1", _BAD_INTERIOR),
+    ("discretization.damping=1e308",
+     "[discretization] damping: sigma_max must be finite and >= 0, got inf"),
+), ids=("interior_lo_inf", "interior_hi_inf", "interior_inverted", "damping_overflow"))
+def test_unusable_interior_or_damping_exits_2(small_ini, tmp_path, capsys, monkeypatch, mode,
+                                              setting, message):
+    """A non-finite interior gave a NaN field and residual with exit 0 (exit 3
+    in gmres-ddm), an inverted one a message about the grid's grown extents,
+    and a damping that overflows sigma_max a traceback from the Schur
+    factorization.  Each is refused before assembly, naming its key."""
+    import diagsweep.cli as cli
+
+    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    _exits_2_without_traceback(
+        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out",
+                 "--set", f"solver.mode={mode}", "--set", setting], message)
+
+
 # each partition refusal names every key it depends on, the overridden one
 # as [section] key and the others by their file line, counts last
 @pytest.mark.parametrize("setting, keys, message", (

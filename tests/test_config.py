@@ -21,22 +21,22 @@ def _write(tmp_path, text, name="run.ini"):
 def test_defaults_only():
     cfg = load_config(environ={})
     assert cfg.dim == 2
-    assert cfg.getfloat("solver", "tol") == 1e-6
+    assert cfg.get("solver", "tol") == 1e-6
     assert cfg.get("problem", "medium") == "constant"
 
 
 def test_precedence_file_env_override(tmp_path):
     path = _write(tmp_path, "[problem]\nfrequency = 7\ndim = 2\n")
     cfg = load_config(path, environ={})
-    assert cfg.getfloat("problem", "frequency") == 7
+    assert cfg.get("problem", "frequency") == 7
     cfg = load_config(path, environ={"DIAGSWEEP_PROBLEM_FREQUENCY": "9"})
-    assert cfg.getfloat("problem", "frequency") == 9
+    assert cfg.get("problem", "frequency") == 9
     cfg = load_config(
         path,
         environ={"DIAGSWEEP_PROBLEM_FREQUENCY": "9"},
         overrides={"problem.frequency": "11"},
     )
-    assert cfg.getfloat("problem", "frequency") == 11
+    assert cfg.get("problem", "frequency") == 11
     with pytest.raises(ConfigurationError):
         load_config(path, environ={}, overrides={"frequency": "11"})
 
@@ -56,7 +56,7 @@ def test_diagnostics_carry_file_and_line(tmp_path):
     )
     cfg = load_config(path, environ={})
     with pytest.raises(ConfigurationError, match=r"run\.ini:5.*integer"):
-        cfg.getint("discretization", "pml_points")
+        cfg.get("discretization", "pml_points")
 
 
 def test_overridden_value_is_named_by_key(tmp_path):
@@ -101,23 +101,6 @@ def test_with_values_copies_and_renames_provenance(tmp_path):
         variant.gmres_settings()
     with pytest.raises(ConfigurationError, match="not section.key"):
         cfg.with_values({"tol": "1"})
-
-
-def test_typed_accessors():
-    """The typed accessors read any key of a config, with the parser they
-    name; `load_config` would refuse section x, so the config is built here."""
-    cfg = RunConfig({"x": {
-        "flag": "on", "off": "no", "list": "1, 2,3", "bad": "maybe",
-        "pairs": "0,1; 0.5, 2",
-    }})
-    assert cfg.getbool("x", "flag") is True
-    assert cfg.getbool("x", "off") is False
-    assert cfg.getlist("x", "list", int) == [1, 2, 3]
-    assert cfg.getpairs("x", "pairs") == [(0.0, 1.0), (0.5, 2.0)]
-    with pytest.raises(ConfigurationError):
-        cfg.getbool("x", "bad")
-    with pytest.raises(ConfigurationError):
-        cfg.getlist("x", "bad", int)
 
 
 def test_sha256_stable_and_sensitive():
@@ -212,11 +195,10 @@ def test_pipeline_and_decay_builders():
     })
     spec = cfg.pipeline_spec()
     assert spec.counts == (3, 3) and spec.n_rhs == 8
-    counts = lambda t: tuple(map(int, t.split("x")))
-    assert cfg.getentries("decay", "partitions", ";", counts) == [(3, 3), (1, 2)]
+    assert cfg.get("decay", "partitions") == [("3x3", (3, 3)), ("1x2", (1, 2))]
     bad = load_config(environ={}, overrides={"decay.partitions": "3by3"})
-    with pytest.raises(ConfigurationError):
-        bad.getentries("decay", "partitions", ";", counts)
+    with pytest.raises(ConfigurationError, match=r"\[decay\] partitions: bad entry '3by3'"):
+        bad.get("decay", "partitions")
 
 
 def test_random_shots_deterministic_per_seed():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diagsweep.errors import ConfigurationError, ModelError
+from diagsweep.errors import ConfigurationError
 from diagsweep.grid import make_grid
 from diagsweep.media import (
     RasterModel,
@@ -20,7 +20,7 @@ def test_constant_model():
     m = constant_model(1.5)
     pts = np.zeros((4, 2))
     np.testing.assert_array_equal(m.speed_at(pts), 1.5)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigurationError):
         constant_model(0.0)
 
 
@@ -34,9 +34,9 @@ def test_layered_model_lookup():
     # speed varies along the last coordinate
     pts = np.stack([np.zeros(6), depths], axis=-1)
     np.testing.assert_array_equal(m.speed_at(pts), m.speed_of_depth(depths))
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigurationError):
         layered_model((0.6, 0.3), (1.0, 2.0, 0.5))
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigurationError):
         layered_model((0.3,), (1.0,))
 
 
@@ -50,7 +50,7 @@ def test_raster_model_interpolation_and_io(tmp_path):
     save_velocity(m, path)
     m2 = load_velocity(path)
     np.testing.assert_allclose(m2.speed_at(pts), got)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigurationError):
         RasterModel(((0, 1), (0, 1)), np.array([[1.0, -2.0], [1.0, 1.0]], np.float32))
 
 
@@ -92,7 +92,7 @@ def test_raster_model_one_sample_axis(counts):
     lambda s: RasterModel(((0, 1), (0, 1)), np.array([[1.0, s], [1.0, 1.0]], np.float32)),
 ), ids=("constant", "layered", "raster"))
 def test_nonfinite_speed_rejected(build, speed):
-    with pytest.raises(ModelError, match="finite and > 0"):
+    with pytest.raises(ConfigurationError, match="finite and > 0"):
         build(speed)
 
 

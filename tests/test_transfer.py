@@ -236,12 +236,14 @@ def _reference_psi(part, ops, index, direction, v, rhs):
 
 
 def _stencil_psi(part, ops, index, direction, v, rhs):
-    """s * (r + L_target(w v))|_band with w = prod(1 - beta) - 1, the target's
-    stencil evaluated on the band grown by one node."""
+    """s * (r + L_target(w v))|_band with w = prod(1 - beta) - 1 on the band
+    grown by one node and zero elsewhere in the target's window."""
     target, band, ext, sign, weight = _reference_band(part, index, direction)
-    src_win = part.window(index)
-    correction = ops[target].apply((weight - 1.0) * v[src_win.local_slices(ext)], region=ext)
-    return sign * (rhs[src_win.local_slices(band)] + correction[ext.local_slices(band)])
+    src_win, nb_win = part.window(index), part.window(target)
+    padded = np.zeros(nb_win.shape, dtype=np.complex128)
+    padded[nb_win.local_slices(ext)] = (weight - 1.0) * v[src_win.local_slices(ext)]
+    correction = ops[target].apply(padded)
+    return sign * (rhs[src_win.local_slices(band)] + correction[nb_win.local_slices(band)])
 
 
 def _reference_beta00(part, index):
