@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 import re
 from collections import namedtuple
@@ -211,7 +212,11 @@ class RunConfig:
 
     @property
     def omega(self) -> float:
-        return 2.0 * np.pi * self.get("problem", "frequency")
+        frequency = self.get("problem", "frequency")
+        omega = 2.0 * np.pi * frequency  # Python floats: an overflow is inf, not a warning
+        self._require(math.isfinite(omega), "problem", "frequency",
+                      "small enough that 2*pi*frequency is finite", frequency)
+        return omega
 
     def interior_extents(self) -> tuple[tuple[float, float], ...]:
         pairs = self.get("problem", "interior")
@@ -237,7 +242,13 @@ class RunConfig:
             h = (b - a) / n
             extents.append((a - pml * h, b + pml * h))
             counts.append(n + 2 * pml + 1)
-        return make_grid(extents, counts)
+        grid = make_grid(extents, counts)
+        for axis, h in enumerate(grid.spacing):  # the operator's couplings are 1/h^2
+            if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+                raise ConfigurationError(
+                    f"{self._where('problem', 'interior')}: axis {axis}: mesh spacing {h:g} "
+                    "leaves 1/h^2 not finite and positive")
+        return grid
 
     def partition_counts(self) -> tuple[int, ...]:
         counts = self.get("partition", "counts")
@@ -280,23 +291,31 @@ class RunConfig:
             raise ConfigurationError(f"{where}: {exc}") from None
 
     def build_model(self):
+        """The velocity model; refused if kappa^2 = (omega/speed)^2 overflows."""
         kind = self.get("problem", "medium")
         if kind == "constant":
-            return constant_model(self.get("problem", "speed"))
-        if kind == "layered":
-            depths = self.get("problem", "depths")
+            key, model = "speed", constant_model(self.get("problem", "speed"))
+            slowest = model.c
+        elif kind == "layered":
+            key, depths = "speeds", self.get("problem", "depths")
             speeds = self.get("problem", "speeds")
             try:
-                return layered_model(tuple(depths), tuple(speeds))
+                model = layered_model(tuple(depths), tuple(speeds))
             except ConfigurationError as exc:
-                key = "depths" if "depths" in str(exc) else "speeds"  # ordering check
-                raise ConfigurationError(f"{self._where('problem', key)}: {exc}") from None
-        model = load_velocity(self.get("problem", "raster_path"))
-        if model.samples.ndim != self.dim:
+                bad = "depths" if "depths" in str(exc) else "speeds"  # ordering check
+                raise ConfigurationError(f"{self._where('problem', bad)}: {exc}") from None
+            slowest = min(speeds)
+        else:
+            key, model = "raster_path", load_velocity(self.get("problem", "raster_path"))
+            if model.samples.ndim != self.dim:
+                raise ConfigurationError(f"{self._where('problem', key)}: raster_path holds a "
+                                         f"{model.samples.ndim}D raster but dim is {self.dim}")
+            slowest = float(model.samples.min())
+        kappa = self.omega / slowest  # Python floats: an overflow is inf, not a warning
+        if not math.isfinite(kappa * kappa):
+            where = ", ".join(self._where("problem", k) for k in (key, "frequency"))
             raise ConfigurationError(
-                f"{self._where('problem', 'raster_path')}: raster_path holds a "
-                f"{model.samples.ndim}D raster but dim is {self.dim}"
-            )
+                f"{where}: kappa^2 = (omega / speed)^2 overflows at speed {slowest:g}")
         return model
 
     def gmres_settings(self) -> dict:

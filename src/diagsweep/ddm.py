@@ -1,13 +1,13 @@
-"""The additive and diagonal sweeping DDM engines: one task, one runner, two
-schedules.
+"""The additive and diagonal sweeping DDM engines: one runner, two schedules.
 
-The task (`_solve_and_emit`) is the same in both engines: sum a subdomain's
-own source piece and the transferred sources that reached it, solve the
-local PML problem on its extended window, blend the solution into the global
-field with the beta_{0,0} cutoff, and emit the transferred sources Psi
-towards its neighbors.  The runner (`_run`) executes the tasks stage by
-stage, delivers every emitted source to the stage its schedule routes it to,
-and records one event per task.  The engines are two schedules of stages:
+The runner (`_run`) is one loop over the tasks, stage by stage.  A task is
+the same in both engines: sum a subdomain's own source piece and the
+transferred sources that reached it, solve the local PML problem on its
+extended window, blend the solution into the global field with the
+beta_{0,0} cutoff, and emit the transferred sources Psi towards its
+neighbors, each delivered to the stage its schedule routes it to.  Every
+task writes one record, its event; the report's counters and per-layer
+seconds are sums over the events.  The engines are two schedules of stages:
 
 * additive: every subdomain runs at every step s = 1..sum(N)-dim+1.  Step 1
   takes the own piece f_{i,j}; a source emitted at step s along direction d
@@ -118,19 +118,25 @@ def build_global_operator(partition: Partition, profile: PmlProfile, velocity, o
     )
 
 
+def _total(key: str) -> property:
+    return property(lambda self: sum(event[key] for event in self.events),
+                    doc=f"The sum of the events' {key!r}.")
+
+
 @dataclass
 class DdmReport:
-    """Counters, per-layer seconds, one event per scheduled task and the
-    optional partial sums of one DDM application."""
+    """One event per scheduled task and the optional partial sums of one DDM
+    application.  The counters and per-layer seconds are sums over the events."""
 
-    solves: int = 0
-    nonzero_solves: int = 0
-    discarded_sources: int = 0
-    solve_s: float = 0.0
-    transfer_s: float = 0.0
-    blend_s: float = 0.0
     events: list = field(default_factory=list)
     partials: list | None = None
+
+    solves = property(lambda self: len(self.events), doc="The scheduled tasks.")
+    nonzero_solves = _total("nonzero")
+    discarded_sources = _total("sources_discarded")
+    solve_s = _total("solve_s")
+    transfer_s = _total("transfer_s")
+    blend_s = _total("blend_s")
 
 
 def check_source(f: np.ndarray, partition: Partition, warn_collar: bool) -> None:
@@ -146,85 +152,59 @@ def check_source(f: np.ndarray, partition: Partition, warn_collar: bool) -> None
             warnings.warn("source support leaks into the global PML collar")
 
 
-def _solve_and_emit(
-    partition, operators, cache, index, f, arrivals, directions, combined, report
-):
-    """The subdomain task both engines schedule.
-
-    Sums the subdomain's own piece of the global source `f` (None after the
-    first stage) and the `arrivals`, solves the local PML problem, blends the
-    solution into `combined` with beta_{0,0}, and returns the sources it
-    transfers along `directions` (each carrying its cut set), which must all
-    have their target inside the partition.  A zero right-hand side is
-    counted as a solve but not solved, and the task returns None.
-    """
-    report.solves += 1
-    owned, local = partition.owned(index)
-    has_own = f is not None and bool(np.any(f[owned]))
-    if not has_own and not arrivals:
-        return None
-    rhs = np.zeros(partition.window(index).shape, dtype=np.complex128)
-    if has_own:
-        rhs[local] += f[owned]
-    for ts in arrivals:
-        rhs[ts.slices] += ts.values
-    cuts = solve_cuts([ts.cuts for ts in arrivals], has_own)
-    if not np.any(rhs):
-        return None
-    fact = cache.get(operators[index])  # factorizes on a miss; not timed
-    start = time.perf_counter()
-    u_local = fact.solve(rhs)
-    solved = time.perf_counter()
-    report.solve_s += solved - start
-    report.nonzero_solves += 1
-    _, beta, (blend, support) = partition.beta00_support(index)
-    combined[blend] += beta * u_local[support]
-    blended = time.perf_counter()
-    report.blend_s += blended - solved
-    emitted = [psi(partition, index, direction, u_local, rhs)
-               for direction in directions if emits(direction, cuts)]
-    for ts in emitted:
-        ts.cuts = content_cuts(ts.direction, cuts)
-    report.transfer_s += time.perf_counter() - blended
-    return emitted
-
-
 def _run(f, partition, operators, cache, stages, route, report, warn_collar):
     """Run the scheduled tasks and return the blended field.
 
     `stages` holds the tasks of each stage as (step, index, directions) in
-    solve order; stage 1 takes the own pieces of `f`.  A source emitted
-    along d in stage s is delivered to its target in stage route(d, s), or
-    discarded when that is None.  Every task appends its event to
-    `report.events`; with `report.partials` the field after each stage is
-    appended there.
+    solve order; stage 1 takes the own pieces of `f`, and every direction
+    has its target inside the partition.  A source emitted along d in stage
+    s is delivered to its target in stage route(d, s), or discarded when
+    that is None.  A zero right-hand side is not solved.  Every task appends
+    its event to `report.events`; with `report.partials` the field after
+    each stage is appended there.
     """
     check_source(f, partition, warn_collar)
     queues: dict = {}
     combined = np.zeros(partition.grid.counts, dtype=np.complex128)
     for stage, tasks in enumerate(stages, 1):
-        own = f if stage == 1 else None
         for step, index, directions in tasks:
             arrivals = queues.pop((stage, index), [])
-            solve_before = report.solve_s
-            emitted = _solve_and_emit(
-                partition, operators, cache, index, own, arrivals, directions,
-                combined, report,
-            )
-            queued = 0
-            for ts in emitted or ():
-                use = route(ts.direction, stage)
+            event = {"sweep": stage, "step": step, "subdomain": list(index),
+                     "sources_consumed": len(arrivals), "sources_emitted": 0,
+                     "nonzero": False, "solve_s": 0.0, "sources_discarded": 0,
+                     "blend_s": 0.0, "transfer_s": 0.0}
+            report.events.append(event)
+            owned, local = partition.owned(index)
+            has_own = stage == 1 and bool(np.any(f[owned]))
+            if not has_own and not arrivals:
+                continue
+            rhs = np.zeros(partition.window(index).shape, dtype=np.complex128)
+            if has_own:
+                rhs[local] += f[owned]
+            for ts in arrivals:
+                rhs[ts.slices] += ts.values
+            if not np.any(rhs):
+                continue
+            cuts = solve_cuts([ts.cuts for ts in arrivals], has_own)
+            fact = cache.get(operators[index])  # factorizes on a miss; not timed
+            start = time.perf_counter()
+            u_local = fact.solve(rhs)
+            solved = time.perf_counter()
+            _, beta, (blend, support) = partition.beta00_support(index)
+            combined[blend] += beta * u_local[support]
+            blended = time.perf_counter()
+            for direction in (d for d in directions if emits(d, cuts)):
+                ts = psi(partition, index, direction, u_local, rhs)
+                ts.cuts = content_cuts(direction, cuts)
+                use = route(direction, stage)
                 if use is None:
-                    report.discarded_sources += 1
+                    event["sources_discarded"] += 1
                 else:
                     queues.setdefault((use, ts.target), []).append(ts)
-                    queued += 1
-            report.events.append(
-                {"sweep": stage, "step": step, "subdomain": list(index),
-                 "sources_consumed": len(arrivals), "sources_emitted": queued,
-                 "nonzero": emitted is not None,
-                 "solve_s": report.solve_s - solve_before}
-            )
+                    event["sources_emitted"] += 1
+            transferred = time.perf_counter()
+            event.update(nonzero=True, solve_s=solved - start, blend_s=blended - solved,
+                         transfer_s=transferred - blended)
         if report.partials is not None:
             report.partials.append(combined.copy())
     if queues:

@@ -601,28 +601,65 @@ def test_zero_source_exits_2(small_ini, tmp_path, capsys, monkeypatch, command, 
 
 
 _BAD_INTERIOR = "[problem] interior: interior must be lo,hi pairs, each finite with lo < hi"
+_BAD_SPACING = "[problem] interior: axis 0: mesh spacing {} leaves 1/h^2 not finite and positive"
+_SLOW = "kappa^2 = (omega / speed)^2 overflows at speed 1e-300"
 
 
 @pytest.mark.parametrize("mode", ("direct-ddm", "gmres-ddm", "global-direct"))
-@pytest.mark.parametrize("setting, message", (
-    ("problem.interior=-inf,1; 0,1", _BAD_INTERIOR),
-    ("problem.interior=0,inf; 0,1", _BAD_INTERIOR),
-    ("problem.interior=1,0; 0,1", _BAD_INTERIOR),
-    ("discretization.damping=1e308",
+@pytest.mark.parametrize("settings, message", (
+    (["problem.interior=-inf,1; 0,1"], _BAD_INTERIOR),
+    (["problem.interior=0,inf; 0,1"], _BAD_INTERIOR),
+    (["problem.interior=1,0; 0,1"], _BAD_INTERIOR),
+    (["discretization.damping=1e308"],
      "[discretization] damping: sigma_max must be finite and >= 0, got inf"),
-), ids=("interior_lo_inf", "interior_hi_inf", "interior_inverted", "damping_overflow"))
+    (["problem.frequency=1e308"],
+     "[problem] frequency: frequency must be small enough that 2*pi*frequency is finite, "
+     "got 1e+308"),
+    # {frequency} is the file line of the frequency
+    (["problem.speed=1e-300"], "[problem] speed, {frequency}: " + _SLOW),
+    (["problem.medium=layered", "problem.depths=0.5", "problem.speeds=1,1e-300"],
+     "[problem] speeds, {frequency}: " + _SLOW),
+    (["problem.interior=0,1e300; 0,1"], _BAD_SPACING.format("2.5e+298")),
+    (["problem.interior=0,1e-300; 0,1", "problem.center=0,0.47"],
+     _BAD_SPACING.format("2.5e-302")),
+), ids=("interior_lo_inf", "interior_hi_inf", "interior_inverted", "damping_overflow",
+        "frequency_overflow", "speed_underflow", "layer_speed_underflow",
+        "spacing_overflow", "spacing_underflow"))
 def test_unusable_interior_or_damping_exits_2(small_ini, tmp_path, capsys, monkeypatch, mode,
-                                              setting, message):
-    """A non-finite interior gave a NaN field and residual with exit 0 (exit 3
-    in gmres-ddm), an inverted one a message about the grid's grown extents,
-    and a damping that overflows sigma_max a traceback from the Schur
-    factorization.  Each is refused before assembly, naming its key."""
+                                              settings, message):
+    """Each input is refused before assembly, naming its key.  A non-finite
+    interior gave a NaN field and residual with exit 0 (exit 3 in gmres-ddm),
+    an inverted one a message about the grid's grown extents.  A damping that
+    overflows sigma_max, a frequency whose omega overflows and a layer speed
+    at which kappa^2 does gave a traceback from the Schur factorization, and
+    a constant speed that low an OverflowError.  An interior whose mesh
+    spacing over- or underflows 1/h^2 gave a NaN field or a ZeroDivisionError."""
     import diagsweep.cli as cli
 
     monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
-    _exits_2_without_traceback(
-        capsys, ["solve", "--config", small_ini, "--out", tmp_path / "out",
-                 "--set", f"solver.mode={mode}", "--set", setting], message)
+    args = ["solve", "--config", small_ini, "--out", tmp_path / "out",
+            "--set", f"solver.mode={mode}"]
+    for setting in settings:
+        args += ["--set", setting]
+    frequency = f"{small_ini}:{_small_line('frequency = 4')}"
+    _exits_2_without_traceback(capsys, args, message.format(frequency=frequency))
+
+
+def test_raster_speed_that_overflows_kappa2_exits_2(small_ini, tmp_path, capsys, monkeypatch):
+    """kappa^2 at the slowest raster speed overflowed in `pml._kappa2`."""
+    import diagsweep.cli as cli
+
+    samples = np.ones((3, 3), np.float32)
+    samples[1, 1] = 1e-38
+    raster = tmp_path / "speed.raster"
+    save_velocity(RasterModel(((0.0, 1.0),) * 2, samples), raster)
+    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    args = ["solve", "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in ("problem.medium=raster", f"problem.raster_path={raster}",
+                    "problem.frequency=1e140", "problem.source=shots", "problem.shots=0.5,0.5"):
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, "[problem] raster_path, [problem] frequency: "
+                               "kappa^2 = (omega / speed)^2 overflows at speed 1e-38")
 
 
 # each partition refusal names every key it depends on, the overridden one

@@ -214,27 +214,37 @@ def test_psi_called_only_inside_partition(prob2d, monkeypatch):
                          ids=("diagonal", "additive"))
 @pytest.mark.parametrize("dim", (2, 3), ids=("2d", "3d"))
 def test_engines_record_consistent_events(prob2d, prob3d, monkeypatch, engine, dim):
-    """Every scheduled task of either engine records one event, and the
-    events add up to the report's counters."""
+    """Every scheduled task of either engine records one event: its psi calls
+    are its emitted and discarded sources, a zero task spends no seconds, and
+    the report's counters are sums over the events."""
     if dim == 2:
         grid, part, ops, _, kappa = prob2d
     else:
         grid, part, ops, kappa = prob3d
-    real, calls = diagsweep.ddm.psi, []
+    real, calls, last_rhs = diagsweep.ddm.psi, [], [None]
 
     def counting_psi(*args, **kwargs):  # re-bound as the benchmark's tracer does
-        calls.append(args[1:3])
+        # a task's calls share its right-hand side; holding the last one
+        # keeps a later task from getting the same object
+        if args[4] is not last_rhs[0]:
+            last_rhs[0] = args[4]
+            calls.append([args[1], 0])
+        calls[-1][1] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(diagsweep.ddm, "psi", counting_psi)
     f = _compact_source(grid, part, (2,) * dim, kappa)
     _, report = engine(f, part, ops, FactorizationCache())
     events = report.events
-    assert len(events) == report.solves
-    assert sum(e["nonzero"] for e in events) == report.nonzero_solves
-    assert math.isclose(sum(e["solve_s"] for e in events), report.solve_s, rel_tol=1e-12)
-    emitted = sum(e["sources_emitted"] for e in events)
-    assert calls and emitted + report.discarded_sources == len(calls)
+    sent = [e["sources_emitted"] + e["sources_discarded"] for e in events]
+    assert calls and calls == [[tuple(e["subdomain"]), n] for e, n in zip(events, sent) if n]
+    zero = [e for e in events if not e["nonzero"]]
+    assert zero and all(e["solve_s"] == e["blend_s"] == e["transfer_s"] == 0.0 for e in zero)
+    assert report.solves == len(events)
+    for name, key in (("nonzero_solves", "nonzero"), ("discarded_sources", "sources_discarded"),
+                      ("solve_s", "solve_s"), ("blend_s", "blend_s"),
+                      ("transfer_s", "transfer_s")):
+        assert getattr(report, name) == sum(e[key] for e in events), name
 
 
 @pytest.mark.parametrize("dim, nonzero_solves", ((2, 9), (3, 27)), ids=("2d", "3d"))
