@@ -16,11 +16,11 @@ decay_*.csv, precond_study.csv without wall_time, pipeline_report.json,
 residuals.csv without its seconds columns) are bit-for-bit reproducible for a
 fixed config and seed; timing fields (wall_time, the *_s seconds,
 cumulative_seconds, precond_seconds) vary from run to run.
---threads caps BLAS threads through threadpoolctl when it is installed, and
-otherwise calls openblas_set_num_threads in every OpenBLAS library loaded in
-the process (numpy and scipy wheels each bundle one); `solve` writes the
-count in effect to solve_report.json as blas_threads, or null when no
-OpenBLAS answers (another BLAS then keeps its own setting).
+--threads caps BLAS threads by calling openblas_set_num_threads in every
+OpenBLAS library loaded in the process (numpy and scipy wheels each bundle
+one); `solve` writes the count in effect to solve_report.json as
+blas_threads, or null when no OpenBLAS answers (another BLAS then keeps its
+own setting).
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O failure.
@@ -54,16 +54,18 @@ EXIT_NOCONV = 3
 EXIT_IO = 4
 # counters and per-layer seconds of a DDM application, summed over all of them
 # in a solve
-_DDM_COUNTERS = ("solves", "nonzero_solves", "discarded_sources",
-                 "solve_s", "transfer_s", "blend_s")
+_DDM_COUNTERS = ("solves", "nonzero_solves", "solve_s", "transfer_s", "blend_s")
 
 
 def _build_problem(cfg: RunConfig):
+    """(grid, partition, subdomain operators, global operator); global-direct
+    solves with the global operator alone and gets None for the others."""
     grid = cfg.build_grid()
     partition = cfg.build_partition(grid)
     profile = cfg.build_profile(grid)
     model = cfg.build_model()
-    operators = build_operators(partition, profile, model, cfg.omega)
+    operators = (None if cfg.get("solver", "mode") == "global-direct"
+                 else build_operators(partition, profile, model, cfg.omega))
     gop = build_global_operator(partition, profile, model, cfg.omega)
     return grid, partition, operators, gop
 
@@ -207,8 +209,9 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
 
 def decay_history(cfg: RunConfig, f, n_it: int):
     """Iterative-mode relative residual over `n_it` iterations of the source
-    `f` (on the config's grid) for the config's partition."""
-    grid, partition, operators, gop = _build_problem(cfg)
+    `f` (on the config's grid) for the config's partition, in any mode."""
+    grid, partition, operators, gop = _build_problem(
+        cfg.with_values({"solver.mode": "direct-ddm"}))
     cache = FactorizationCache()
     u = np.zeros(grid.counts, dtype=np.complex128)
     norm_f = np.linalg.norm(f)
@@ -351,14 +354,9 @@ def _openblas(name: str) -> list:
 
 
 def _set_threads(n: int) -> None:
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        for fn in _openblas("set_num_threads"):
-            fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(n)
-        return
-    threadpool_limits(limits=n)
+    for fn in _openblas("set_num_threads"):
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(n)
 
 
 def _blas_threads() -> int | None:
@@ -383,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="BLAS thread cap, set through threadpoolctl or else in every "
-        "loaded OpenBLAS; other BLAS libraries keep their own setting",
+        help="BLAS thread cap, set in every loaded OpenBLAS; other BLAS "
+        "libraries keep their own setting",
     )
     parser.add_argument(
         "--set",

@@ -16,8 +16,8 @@ seconds are sums over the events.  The engines are two schedules of stages:
   the fixed order `partition.SWEEP_DIRECTIONS`; the first sweep takes the own
   pieces.  Within a sweep, subdomains run in `Partition.sweep_order`, and
   every emitted source is routed to the smallest admissible sweep (same
-  sweep when it points with it, a later one otherwise, or discarded when no
-  later sweep accepts it).
+  sweep when it points with it, a later one otherwise; `emits` lets no solve
+  send a source that no sweep accepts, as tests/test_ddm.py enumerates).
 
 Both read every slice from the partition: the own piece f_{i,j} is the view
 f[owned] (`Partition.owned`), never a copy.
@@ -133,7 +133,8 @@ class DdmReport:
 
     solves = property(lambda self: len(self.events), doc="The scheduled tasks.")
     nonzero_solves = _total("nonzero")
-    discarded_sources = _total("sources_discarded")
+    discarded_sources = property(lambda self: 0, doc="Always 0, as every emitted source "
+                                 "is consumed; kept because bench/workloads.py reads it.")
     solve_s = _total("solve_s")
     transfer_s = _total("transfer_s")
     blend_s = _total("blend_s")
@@ -158,10 +159,11 @@ def _run(f, partition, operators, cache, stages, route, report, warn_collar):
     `stages` holds the tasks of each stage as (step, index, directions) in
     solve order; stage 1 takes the own pieces of `f`, and every direction
     has its target inside the partition.  A source emitted along d in stage
-    s is delivered to its target in stage route(d, s), or discarded when
-    that is None.  A zero right-hand side is not solved.  Every task appends
-    its event to `report.events`; with `report.partials` the field after
-    each stage is appended there.
+    s is delivered to its target in stage route(d, s); one routed to None or
+    past the last stage is never consumed and is refused at the end.  A zero
+    right-hand side is not solved.  Every task appends its event to
+    `report.events`; with `report.partials` the field after each stage is
+    appended there.
     """
     check_source(f, partition, warn_collar)
     queues: dict = {}
@@ -171,8 +173,7 @@ def _run(f, partition, operators, cache, stages, route, report, warn_collar):
             arrivals = queues.pop((stage, index), [])
             event = {"sweep": stage, "step": step, "subdomain": list(index),
                      "sources_consumed": len(arrivals), "sources_emitted": 0,
-                     "nonzero": False, "solve_s": 0.0, "sources_discarded": 0,
-                     "blend_s": 0.0, "transfer_s": 0.0}
+                     "nonzero": False, "solve_s": 0.0, "blend_s": 0.0, "transfer_s": 0.0}
             report.events.append(event)
             owned, local = partition.owned(index)
             has_own = stage == 1 and bool(np.any(f[owned]))
@@ -196,12 +197,8 @@ def _run(f, partition, operators, cache, stages, route, report, warn_collar):
             for direction in (d for d in directions if emits(d, cuts)):
                 ts = psi(partition, index, direction, u_local, rhs)
                 ts.cuts = content_cuts(direction, cuts)
-                use = route(direction, stage)
-                if use is None:
-                    event["sources_discarded"] += 1
-                else:
-                    queues.setdefault((use, ts.target), []).append(ts)
-                    event["sources_emitted"] += 1
+                queues.setdefault((route(direction, stage), ts.target), []).append(ts)
+                event["sources_emitted"] += 1
             transferred = time.perf_counter()
             event.update(nonzero=True, solve_s=solved - start, blend_s=blended - solved,
                          transfer_s=transferred - blended)

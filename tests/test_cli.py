@@ -125,7 +125,7 @@ def test_ddm_counters_in_solve_report(small_ini, tmp_path):
     assert info["cache_misses"] == 9 and info["cache_hits"] > 0
     assert info["factor_bytes"] > 0
     assert info["solves"] >= info["nonzero_solves"] > 0
-    assert "discarded_sources" in info
+    assert "discarded_sources" not in info
     layers = [info[key] for key in ("solve_s", "transfer_s", "blend_s")]
     assert min(layers) >= 0 and info["solve_s"] > 0
     assert sum(layers) <= info["wall_time"]
@@ -137,10 +137,26 @@ def test_ddm_counters_in_solve_report(small_ini, tmp_path):
     # scheduling all 2 x 2 subdomains in every one of the 2**dim sweeps
     assert info["solves"] == info["n_iter"] * 2**2 * (2 * 2)
     assert 0 < info["nonzero_solves"] <= info["solves"]
-    assert info["discarded_sources"] >= 0
+    assert "discarded_sources" not in info
     layers = [info[key] for key in ("solve_s", "transfer_s", "blend_s")]
     assert min(layers) >= 0 and info["solve_s"] > 0
     assert sum(layers) <= info["wall_time"]
+
+
+def test_global_direct_assembles_no_subdomain_operator(small_ini, tmp_path, monkeypatch):
+    """global-direct solves with the global operator alone and reports no
+    DDM counter; decay sweeps whatever the mode, so it still assembles them."""
+    import diagsweep.cli as cli
+
+    out = tmp_path / "solve"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+        assert _run(["solve", "--config", small_ini, "--out", out,
+                     "--set", "solver.mode=global-direct"]) == 0
+    assert "solves" not in json.loads((out / "solve_report.json").read_text())
+    assert _run(["decay", "--config", small_ini, "--out", tmp_path / "decay",
+                 "--set", "solver.mode=global-direct", "--set", "decay.partitions=2x2",
+                 "--set", "decay.iterations=2", "--set", "decay.fit_skip=0"]) == 0
 
 
 def test_collar_warning_needs_collar_mass(small_ini):
@@ -248,6 +264,14 @@ NOT_FINITE_AND_POSITIVE = st.one_of(
     st.sampled_from(("nan", "inf", "-inf")),
     st.floats(max_value=0.0, allow_nan=False).map(repr),
 )
+
+
+def _refuse_assembly(monkeypatch):
+    """Fail the test if the CLI assembles any operator, local or global."""
+    import diagsweep.cli as cli
+
+    for name in ("build_operators", "build_global_operator"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("assembled"))
 
 
 def _exits_2_without_traceback(capsys, args, message):
@@ -569,10 +593,8 @@ def test_bad_value_names_its_key(small_ini, tmp_path, capsys, monkeypatch, comma
                                  settings, message, assembles):
     """The message names the key; a check that needs no operator exits 2
     before any is assembled."""
-    import diagsweep.cli as cli
-
     if not assembles:
-        monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+        _refuse_assembly(monkeypatch)
     args = [command, "--config", small_ini, "--out", tmp_path / "out"]
     for setting in settings:
         args += ["--set", setting]
@@ -590,9 +612,7 @@ def test_zero_source_exits_2(small_ini, tmp_path, capsys, monkeypatch, command, 
     """A Gaussian that underflows on every node is refused before assembly:
     it used to give an all-zero field and a NaN residual, or a decay study
     that "reached the floor"."""
-    import diagsweep.cli as cli
-
-    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    _refuse_assembly(monkeypatch)
     args = [command, "--config", small_ini, "--out", tmp_path / "out"]
     for setting in ["problem.frequency=1000", *settings]:
         args += ["--set", setting]
@@ -634,9 +654,7 @@ def test_unusable_interior_or_damping_exits_2(small_ini, tmp_path, capsys, monke
     at which kappa^2 does gave a traceback from the Schur factorization, and
     a constant speed that low an OverflowError.  An interior whose mesh
     spacing over- or underflows 1/h^2 gave a NaN field or a ZeroDivisionError."""
-    import diagsweep.cli as cli
-
-    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    _refuse_assembly(monkeypatch)
     args = ["solve", "--config", small_ini, "--out", tmp_path / "out",
             "--set", f"solver.mode={mode}"]
     for setting in settings:
@@ -647,13 +665,11 @@ def test_unusable_interior_or_damping_exits_2(small_ini, tmp_path, capsys, monke
 
 def test_raster_speed_that_overflows_kappa2_exits_2(small_ini, tmp_path, capsys, monkeypatch):
     """kappa^2 at the slowest raster speed overflowed in `pml._kappa2`."""
-    import diagsweep.cli as cli
-
     samples = np.ones((3, 3), np.float32)
     samples[1, 1] = 1e-38
     raster = tmp_path / "speed.raster"
     save_velocity(RasterModel(((0.0, 1.0),) * 2, samples), raster)
-    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    _refuse_assembly(monkeypatch)
     args = ["solve", "--config", small_ini, "--out", tmp_path / "out"]
     for setting in ("problem.medium=raster", f"problem.raster_path={raster}",
                     "problem.frequency=1e140", "problem.source=shots", "problem.shots=0.5,0.5"):
@@ -677,9 +693,7 @@ def test_raster_speed_that_overflows_kappa2_exits_2(small_ini, tmp_path, capsys,
 ), ids=("overlap_points", "pml_points", "interior_cells"))
 def test_partition_error_names_the_keys_it_depends_on(small_ini, tmp_path, capsys, monkeypatch,
                                                       setting, keys, message):
-    import diagsweep.cli as cli
-
-    monkeypatch.setattr(cli, "build_operators", lambda *args: pytest.fail("assembled"))
+    _refuse_assembly(monkeypatch)
     where = ", ".join(key if key.startswith("[") else f"{small_ini}:{_small_line(key)}"
                       for key in keys)
     _exits_2_without_traceback(

@@ -29,6 +29,7 @@ from diagsweep.subdomain import (
     SeparableFactorization,
     SparseLuFactorization,
 )
+from diagsweep.transfer import next_usable_sweep
 
 
 def _setup_2d():
@@ -123,6 +124,44 @@ def test_owned_pieces_tile_grid(prob2d):
         check_source(f[:-1], part, True)
 
 
+def _reachable_solves(dim):
+    """Every (sweep, cut set) a local solve can reach, on any partition and
+    for any source.  The own pieces solve in sweep 1 with no cut; each
+    content a solve emits reaches its routed sweep with its `content_cuts`;
+    a solve's cut set is the intersection of its arrivals' sets.  Closing
+    the sets under intersection and ignoring geometry over-approximates
+    every run."""
+    directions = source_directions(dim)
+    states = {(1, frozenset())}
+    while True:
+        grown = states | {(next_usable_sweep(d, sweep), content_cuts(d, cuts))
+                          for sweep, cuts in states for d in directions
+                          if emits(d, cuts) and next_usable_sweep(d, sweep) is not None}
+        grown |= {(s, a & b) for (s, a), (t, b) in itertools.product(grown, repeat=2)
+                  if s == t}
+        if grown == states:
+            return states
+        states = grown
+
+
+@pytest.mark.parametrize("dim, n_states, n_unrouted", ((2, 9, 10), (3, 27, 76)),
+                         ids=("2d", "3d"))
+def test_every_emitted_source_has_a_sweep(dim, n_states, n_unrouted):
+    """The diagonal sweep discards nothing: no reachable solve emits along a
+    direction that no later sweep accepts, although such (direction, sweep)
+    pairs exist.  `ddm._run` relies on this to queue every source."""
+    states = _reachable_solves(dim)
+    directions = source_directions(dim)
+    for sweep, cuts in states:
+        for d in directions:
+            if emits(d, cuts):
+                assert next_usable_sweep(d, sweep) is not None, (sweep, cuts, d)
+    assert len(states) == n_states
+    unrouted = [(d, sweep) for d in directions for sweep in range(1, 2**dim + 1)
+                if next_usable_sweep(d, sweep) is None]
+    assert len(unrouted) == n_unrouted
+
+
 def test_exact_for_constant_media(prob2d):
     grid, part, ops, gop, kappa = prob2d
     f = _compact_source(grid, part, (2, 2), kappa)
@@ -181,7 +220,7 @@ def test_emission_counts_center_source(prob2d):
 def test_psi_called_only_inside_partition(prob2d, monkeypatch):
     """With psi re-bound in the engine module, as the benchmark's tracer does,
     a sweep calls it only for directions whose target is in the partition,
-    and every call yields a source that is queued or discarded."""
+    and every call yields a source that is queued."""
     grid, part, ops, _, kappa = prob2d
     real = diagsweep.ddm.psi
     calls = []
@@ -203,7 +242,7 @@ def test_psi_called_only_inside_partition(prob2d, monkeypatch):
         assert all(1 <= t <= n for t, n in zip(target, part.counts)), (index, direction)
         assert direction in part.transfer_directions(index)
     queued = sum(e["sources_emitted"] for e in report.events)
-    assert calls and len(calls) == queued + report.discarded_sources
+    assert calls and len(calls) == queued
     # the corner (1, 1) solves with its own source in the first sweep and
     # transfers towards its 3 in-partition neighbors only
     assert sum(1 for index, _ in calls if index == (1, 1)) >= 3
@@ -215,8 +254,8 @@ def test_psi_called_only_inside_partition(prob2d, monkeypatch):
 @pytest.mark.parametrize("dim", (2, 3), ids=("2d", "3d"))
 def test_engines_record_consistent_events(prob2d, prob3d, monkeypatch, engine, dim):
     """Every scheduled task of either engine records one event: its psi calls
-    are its emitted and discarded sources, a zero task spends no seconds, and
-    the report's counters are sums over the events."""
+    are its emitted sources, a zero task spends no seconds, and the report's
+    counters are sums over the events."""
     if dim == 2:
         grid, part, ops, _, kappa = prob2d
     else:
@@ -236,14 +275,14 @@ def test_engines_record_consistent_events(prob2d, prob3d, monkeypatch, engine, d
     f = _compact_source(grid, part, (2,) * dim, kappa)
     _, report = engine(f, part, ops, FactorizationCache())
     events = report.events
-    sent = [e["sources_emitted"] + e["sources_discarded"] for e in events]
+    sent = [e["sources_emitted"] for e in events]
     assert calls and calls == [[tuple(e["subdomain"]), n] for e, n in zip(events, sent) if n]
+    assert sum(sent) == sum(e["sources_consumed"] for e in events)  # none is dropped
     zero = [e for e in events if not e["nonzero"]]
     assert zero and all(e["solve_s"] == e["blend_s"] == e["transfer_s"] == 0.0 for e in zero)
     assert report.solves == len(events)
-    for name, key in (("nonzero_solves", "nonzero"), ("discarded_sources", "sources_discarded"),
-                      ("solve_s", "solve_s"), ("blend_s", "blend_s"),
-                      ("transfer_s", "transfer_s")):
+    for name, key in (("nonzero_solves", "nonzero"), ("solve_s", "solve_s"),
+                      ("blend_s", "blend_s"), ("transfer_s", "transfer_s")):
         assert getattr(report, name) == sum(e[key] for e in events), name
 
 
@@ -321,6 +360,16 @@ def test_source_left_unconsumed_raises(prob2d, monkeypatch):
         return real(direction, sweep)
 
     monkeypatch.setattr(diagsweep.ddm, "next_usable_sweep", misroute)
+    f = _compact_source(grid, part, (1, 1), kappa)
+    with pytest.raises(SolverError, match="pending transferred sources"):
+        diagonal_sweep_solve(f, part, ops, FactorizationCache())
+
+
+def test_source_routed_nowhere_raises(prob2d, monkeypatch):
+    """A source that no sweep accepts is never consumed, so the run refuses
+    it instead of dropping it."""
+    grid, part, ops, _, kappa = prob2d
+    monkeypatch.setattr(diagsweep.ddm, "next_usable_sweep", lambda direction, sweep: None)
     f = _compact_source(grid, part, (1, 1), kappa)
     with pytest.raises(SolverError, match="pending transferred sources"):
         diagonal_sweep_solve(f, part, ops, FactorizationCache())
