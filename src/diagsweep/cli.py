@@ -113,9 +113,10 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop):
 
 def _study(cfg: RunConfig, section: str, key: str, values) -> list:
     """(entry, variant) of each entry of the study list [section] key; the
-    variant is `cfg` with the config `values(entry)`.  Each grid, partition and
-    profile is built here, so a bad entry exits 2 before the first solve.  The
-    message about a bad entry drops the location of a key the study set."""
+    variant is `cfg` with the config `values(entry)`.  Each grid, partition,
+    profile, model and convergence source is built here, so a bad entry exits
+    2 before the first solve.  The message about a bad entry drops the
+    location of a key the study set."""
     variants = []
     for token, entry in cfg.get(section, key):
         settings = values(entry)
@@ -124,6 +125,9 @@ def _study(cfg: RunConfig, section: str, key: str, values) -> list:
             grid = sub.build_grid()
             sub.build_partition(grid)
             sub.build_profile(grid)
+            sub.build_model()
+            if section == "convergence":  # solves the config's source on each entry's grid
+                sub.build_source(grid)
         except ConfigurationError as exc:
             own = {sub._where(*dotted.split(".")) for dotted in settings}
             head, sep, rest = str(exc).partition(": ")
@@ -171,23 +175,23 @@ def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
-    variants = _study(cfg, "convergence", "meshes",
-                      lambda cells: {"discretization.interior_cells": str(cells)})
-    meshes = [cells for cells, _ in variants]
-    ok = len(set(meshes)) == len(meshes) >= 2
-    cfg._require(ok, "convergence", "meshes", "2 or more distinct meshes", meshes)
     for key, needed in (("medium", "constant"), ("source", "gaussian")):
         value = cfg.get("problem", key)
         cfg._require(value == needed, "problem", key,
                      f"{needed} for the convergence study", repr(value))
     center = tuple(cfg.get("problem", "center"))
     cfg._require(len(center) == cfg.dim, "problem", "center", f"{cfg.dim} coordinates", center)
+    variants = _study(cfg, "convergence", "meshes",
+                      lambda cells: {"discretization.interior_cells": str(cells)})
+    meshes = [cells for cells, _ in variants]
+    ok = len(set(meshes)) == len(meshes) >= 2
+    cfg._require(ok, "convergence", "meshes", "2 or more distinct meshes", meshes)
     kappa = cfg.omega / cfg.get("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
     table, prev = [], None
     for cells, sub in variants:
-        f = sub.build_source(sub.build_grid(), rng)  # a zero source exits 2 before assembly
+        f = sub.build_source(sub.build_grid(), rng)
         grid, partition, operators, gop = _build_problem(sub)
         u, _, _, _ = _solve_once(sub, f, partition, operators, gop)
         ref = radial_solution(grid, center, kappa, profile=source)

@@ -295,7 +295,6 @@ class RunConfig:
         kind = self.get("problem", "medium")
         if kind == "constant":
             key, model = "speed", constant_model(self.get("problem", "speed"))
-            slowest = model.c
         elif kind == "layered":
             key, depths = "speeds", self.get("problem", "depths")
             speeds = self.get("problem", "speeds")
@@ -304,18 +303,16 @@ class RunConfig:
             except ConfigurationError as exc:
                 bad = "depths" if "depths" in str(exc) else "speeds"  # ordering check
                 raise ConfigurationError(f"{self._where('problem', bad)}: {exc}") from None
-            slowest = min(speeds)
         else:
             key, model = "raster_path", load_velocity(self.get("problem", "raster_path"))
             if model.samples.ndim != self.dim:
                 raise ConfigurationError(f"{self._where('problem', key)}: raster_path holds a "
                                          f"{model.samples.ndim}D raster but dim is {self.dim}")
-            slowest = float(model.samples.min())
-        kappa = self.omega / slowest  # Python floats: an overflow is inf, not a warning
+        kappa = self.omega / model.slowest  # Python floats: an overflow is inf, not a warning
         if not math.isfinite(kappa * kappa):
             where = ", ".join(self._where("problem", k) for k in (key, "frequency"))
             raise ConfigurationError(
-                f"{where}: kappa^2 = (omega / speed)^2 overflows at speed {slowest:g}")
+                f"{where}: kappa^2 = (omega / speed)^2 overflows at speed {model.slowest:g}")
         return model
 
     def gmres_settings(self) -> dict:

@@ -1,4 +1,9 @@
-"""Velocity models (constant, layered, raster) and source construction."""
+"""Velocity models (constant, layered, raster) and source construction.
+
+A model samples itself: `kappa2(coords, omega)` is kappa^2 = (omega/speed)^2
+on the tensor grid of the per-axis `coords`, broadcastable to it and of length
+1 along every axis where the model is constant; `slowest` is its least speed.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +18,6 @@ from .errors import ConfigurationError
 from .grid import Grid
 from .reference import gaussian_amplitude
 
-DEPTH_AXIS = -1  # layers are horizontal: speed varies along the last axis
-
 
 @dataclass(frozen=True)
 class ConstantModel:
@@ -26,8 +29,12 @@ class ConstantModel:
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigurationError(f"speed must be finite and > 0, got {self.c}")
 
-    def speed_at(self, points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[:-1], self.c)
+    @property
+    def slowest(self) -> float:
+        return self.c
+
+    def kappa2(self, coords, omega: float) -> np.ndarray:
+        return np.full((1,) * len(coords), (omega / self.c) ** 2)
 
 
 @dataclass(frozen=True)
@@ -52,12 +59,14 @@ class LayeredModel:
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ConfigurationError("interface depths must be strictly increasing")
 
-    def speed_of_depth(self, depth: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(self.depths), depth, side="right")
-        return np.asarray(self.speeds)[idx]
+    @property
+    def slowest(self) -> float:
+        return min(self.speeds)
 
-    def speed_at(self, points: np.ndarray) -> np.ndarray:
-        return self.speed_of_depth(points[..., DEPTH_AXIS])
+    def kappa2(self, coords, omega: float) -> np.ndarray:
+        idx = np.searchsorted(np.asarray(self.depths), coords[-1], side="right")
+        speed = np.asarray(self.speeds)[idx]
+        return ((omega / speed) ** 2).reshape((1,) * (len(coords) - 1) + (-1,))
 
 
 @dataclass(frozen=True)
@@ -78,20 +87,20 @@ class RasterModel:
         if not np.all(np.isfinite(self.samples) & (self.samples > 0)):
             raise ConfigurationError("raster speeds must be finite and > 0")
 
-    def speed_at(self, points: np.ndarray) -> np.ndarray:
+    @property
+    def slowest(self) -> float:
+        return float(self.samples.min())
+
+    def kappa2(self, coords, omega: float) -> np.ndarray:
         # imported here: scipy.ndimage adds ~60 ms to importing the package
         from scipy.ndimage import map_coordinates
 
-        index = [
-            np.clip((points[..., axis] - a) / (b - a) * (n - 1), 0.0, n - 1.0)
-            for axis, ((a, b), n) in enumerate(zip(self.extents, self.samples.shape))
-        ]
-        return map_coordinates(
-            self.samples.astype(np.float64), index, order=1, mode="nearest"
-        )
-
-
-VelocityModel = ConstantModel | LayeredModel | RasterModel
+        index = np.meshgrid(*(
+            np.clip((x - a) / (b - a) * (n - 1), 0.0, n - 1.0)
+            for x, (a, b), n in zip(coords, self.extents, self.samples.shape)
+        ), indexing="ij")
+        speed = map_coordinates(self.samples.astype(np.float64), index, order=1, mode="nearest")
+        return (omega / speed) ** 2
 
 
 def constant_model(c: float) -> ConstantModel:

@@ -16,11 +16,12 @@ exploits.
 The absorption profile is polynomial, sigma(t) = sigma_max * (t/L)^p clamped
 at sigma_max, optionally shifted outward by the overlap width d so that it
 vanishes on the first d points past the box face.  Distances t are in grid
-points from integer node indices (faces at half-integers), not coordinates,
-and kappa^2 is one array broadcastable to the window shape, length 1 along
-constant axes.  So an operator is an exact function of its integer structure
-and medium, and structurally identical subdomains share one cached
-factorization by fingerprint alone.
+points from integer node indices (faces at half-integers), not coordinates.
+kappa^2 is what the velocity model itself (`media`) gives at the window's node
+coordinates clamped to the box: one array broadcastable to the window shape,
+length 1 along constant axes.  So an operator is an exact function of its
+integer structure and medium, and structurally identical subdomains share one
+cached factorization by fingerprint alone.
 
 An operator is its stencil: the window, kappa^2 and per axis the read-only
 coefficients (c_lo, c_hi, -(c_lo + c_hi)), computed once at assembly with the
@@ -40,7 +41,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .grid import Grid, Window
-from .media import ConstantModel, LayeredModel, VelocityModel
 
 DEFAULT_DAMPING = 24.0
 
@@ -158,22 +158,10 @@ def _sigma_axis(index, box_lo, box_hi, profile, shift_lo, shift_hi):
 
 
 def _kappa2(grid, window, velocity, omega, clamp_box):
-    """kappa^2 broadcastable to the window shape, length 1 along constant axes."""
+    """The model's kappa^2 at the window's coordinates clamped to `clamp_box`."""
     slices = window.slices()
-    coords = [
-        np.clip(grid.axis_coords(a)[slices[a]], clamp_box[a][0], clamp_box[a][1])
-        for a in range(grid.dim)
-    ]
-    if isinstance(velocity, ConstantModel):
-        return np.full((1,) * grid.dim, (omega / velocity.c) ** 2)
-    if isinstance(velocity, LayeredModel):
-        speed = velocity.speed_of_depth(coords[-1])
-        return ((omega / speed) ** 2).reshape((1,) * (grid.dim - 1) + (-1,))
-    mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    speed = velocity.speed_at(mesh)
-    if np.any(speed <= 0):
-        raise ConfigurationError("nonpositive velocity inside operator window")
-    return (omega / speed) ** 2
+    coords = [np.clip(grid.axis_coords(a)[slices[a]], *clamp_box[a]) for a in range(grid.dim)]
+    return velocity.kappa2(coords, omega)
 
 
 def assemble_operator(
@@ -181,7 +169,7 @@ def assemble_operator(
     window: Window,
     box: Window,
     profile: PmlProfile,
-    velocity: VelocityModel,
+    velocity,
     omega: float,
     clamp_box=None,
 ) -> DiscreteOperator:
@@ -190,8 +178,9 @@ def assemble_operator(
     The PML occupies the outermost `pml_width_points` of the window's
     overhang past each box face; any remaining overhang is the zero-sigma
     shift (the overlap width d at interior faces, zero at global faces).
-    kappa uses the velocity sampled at coordinates clamped to `clamp_box`
-    (constant extrapolation into the collar); it defaults to the box itself.
+    kappa^2 is the `media` model `velocity`'s, at coordinates clamped to
+    `clamp_box` (constant extrapolation into the collar); it defaults to the
+    box itself.
     """
     if clamp_box is None:
         clamp_box = tuple(

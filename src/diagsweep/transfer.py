@@ -55,7 +55,7 @@ from .partition import SWEEP_DIRECTIONS, Partition
 
 @dataclass
 class TransferredSource:
-    """A direction-tagged banded residual source queued for a later solve.
+    """A banded residual source queued for a later solve.
 
     `cuts` records the (axis, side) breakpoints past which the carried
     content vanishes in exact arithmetic; the engines use it to suppress
@@ -63,7 +63,6 @@ class TransferredSource:
     """
 
     target: tuple[int, ...]
-    direction: tuple[int, ...]
     slices: tuple[slice, ...]  # of the band in the target's window
     values: np.ndarray
     cuts: frozenset = frozenset()
@@ -122,4 +121,4 @@ def psi(
     payload = keep * rhs[rows]
     for coupling, v_part in terms:
         payload += coupling * v[v_part]
-    return TransferredSource(target, tuple(direction), target_rows, payload)
+    return TransferredSource(target, target_rows, payload)

@@ -446,20 +446,24 @@ def test_empty_study_list_exits_2(small_ini, tmp_path, capsys, command):
     )
 
 
-@pytest.mark.parametrize("command, key, value, entry", (
-    ("decay", "decay.partitions", "2x2;0x2", "0x2"),
-    ("precond-study", "precond.rows", "40,2x2,4;0,2x2,4", "0,2x2,4"),
-    ("precond-study", "precond.rows", "40,2x2,4;40,2x3,4", "40,2x3,4"),
-    ("convergence", "convergence.meshes", "40,-3", "-3"),
-))
-def test_bad_study_entry_names_key_and_entry(small_ini, tmp_path, capsys, command, key,
-                                             value, entry):
-    section, name = key.split(".")
-    _exits_2_without_traceback(
-        capsys, [command, "--config", small_ini, "--out", tmp_path / "out",
-                 "--set", f"{key}={value}"],
-        f"[{section}] {name}: {name} entry {entry!r}: ",
-    )
+# the study key's setting comes first; an id joins the keys and values with '-'
+@pytest.mark.parametrize("command, settings, entry", (
+    ("decay", ["decay.partitions=2x2;0x2"], "0x2"),
+    ("precond-study", ["precond.rows=40,2x2,4;0,2x2,4"], "0,2x2,4"),
+    ("precond-study", ["precond.rows=40,2x2,4;40,2x3,4"], "40,2x3,4"),
+    ("convergence", ["convergence.meshes=40,-3"], "-3"),
+    # a medium or source refused only for a later entry: the first one used to solve
+    ("precond-study", ["precond.rows=40,2x2,4; 40,2x2,1e300"], "40,2x2,1e300"),
+    ("convergence", ["convergence.meshes=40,20", "problem.frequency=200",
+                     "discretization.pml_points=4", "discretization.overlap_points=2"], "20"),
+), ids=lambda p: "-".join(s.replace("=", "-", 1) for s in p) if isinstance(p, list) else None)
+def test_bad_study_entry_names_key_and_entry(small_ini, tmp_path, capsys, command, settings,
+                                             entry):
+    section, name = settings[0].split("=")[0].split(".")
+    args = [command, "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in settings:
+        args += ["--set", setting]
+    _exits_2_without_traceback(capsys, args, f"[{section}] {name}: {name} entry {entry!r}: ")
 
 
 @pytest.mark.parametrize("setting, message", (

@@ -211,7 +211,10 @@ def test_layered_medium_axis_structure_and_clamping():
     # clamped to the box: collar rows repeat the edge-layer speed
     coords = np.clip(grid.axis_coords(1), grid.axis_coords(1)[8],
                      grid.axis_coords(1)[22])
-    np.testing.assert_allclose(values, (10.0 / model.speed_of_depth(coords)) ** 2)
+    speed = np.select([coords < 0.3, coords < 0.5], [1.0, 2.0], 0.5)  # interfaces go below
+    np.testing.assert_allclose(values, (10.0 / speed) ** 2)
+    np.testing.assert_array_equal(values[:8], values[8])
+    np.testing.assert_array_equal(values[23:], values[22])
 
 
 def test_fingerprint_distinguishes_operators():

@@ -300,7 +300,6 @@ def _check_cached_geometry(part, ops, rng):
                 target, band, payload = want
                 assert got.target == target, (index, direction)
                 assert got.slices == part.window(target).local_slices(band), (index, direction)
-                assert got.direction == direction
                 assert np.array_equal(got.values, payload), (index, direction)
         want_support, want_values = _reference_beta00(part, index)
         for _ in range(2):
