@@ -22,8 +22,8 @@ one); `solve` writes the count in effect to solve_report.json as
 blas_threads, or null when no OpenBLAS answers (another BLAS then keeps its
 own setting).
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error or a problem too large for
+memory, 3 solver non-convergence or breakdown, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import itertools
 import json
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -56,24 +57,25 @@ EXIT_IO = 4
 # in a solve
 _DDM_COUNTERS = ("solves", "nonzero_solves", "solve_s", "transfer_s", "blend_s")
 
+Problem = namedtuple("Problem", "grid partition profile model")
 
-def _build_problem(cfg: RunConfig):
-    """(grid, partition, subdomain operators, global operator); global-direct
-    solves with the global operator alone and gets None for the others."""
+
+def _build_problem(cfg: RunConfig) -> Problem:
+    """All that a run builds before it solves, unassembled: `_solve_once` and
+    `decay_history` assemble the operators they need from it."""
     grid = cfg.build_grid()
     partition = cfg.build_partition(grid)
-    profile = cfg.build_profile(grid)
-    model = cfg.build_model()
-    operators = (None if cfg.get("solver", "mode") == "global-direct"
+    return Problem(grid, partition, cfg.build_profile(grid), cfg.build_model())
+
+
+def _solve_once(cfg: RunConfig, problem: Problem, f):
+    """Assemble what the configured solver mode needs and run it; returns
+    (field, report dict, DDM report of a direct-ddm solve, GMRES report)."""
+    mode = cfg.get("solver", "mode")
+    _, partition, profile, model = problem
+    operators = (None if mode == "global-direct"
                  else build_operators(partition, profile, model, cfg.omega))
     gop = build_global_operator(partition, profile, model, cfg.omega)
-    return grid, partition, operators, gop
-
-
-def _solve_once(cfg: RunConfig, f, partition, operators, gop):
-    """Run the configured solver mode; returns (field, report dict, DDM report
-    of a direct-ddm solve, GMRES report)."""
-    mode = cfg.get("solver", "mode")
     cache = FactorizationCache()
     info = {"mode": mode, "config_sha256": cfg.sha256}
     ddm_report = krylov_report = None
@@ -112,22 +114,19 @@ def _solve_once(cfg: RunConfig, f, partition, operators, gop):
 
 
 def _study(cfg: RunConfig, section: str, key: str, values) -> list:
-    """(entry, variant) of each entry of the study list [section] key; the
-    variant is `cfg` with the config `values(entry)`.  Each grid, partition,
-    profile, model and convergence source is built here, so a bad entry exits
-    2 before the first solve.  The message about a bad entry drops the
-    location of a key the study set."""
+    """(entry, variant, problem) of each entry of the study list [section]
+    key; the variant is `cfg` with the config `values(entry)` and the problem
+    is its `_build_problem`.  Each problem and convergence source is built
+    here, so a bad entry exits 2 before the first solve.  The message about a
+    bad entry drops the location of a key the study set."""
     variants = []
     for token, entry in cfg.get(section, key):
         settings = values(entry)
         sub = cfg.with_values(settings)
         try:
-            grid = sub.build_grid()
-            sub.build_partition(grid)
-            sub.build_profile(grid)
-            sub.build_model()
+            problem = _build_problem(sub)
             if section == "convergence":  # solves the config's source on each entry's grid
-                sub.build_source(grid)
+                sub.build_source(problem.grid)
         except ConfigurationError as exc:
             own = {sub._where(*dotted.split(".")) for dotted in settings}
             head, sep, rest = str(exc).partition(": ")
@@ -135,7 +134,7 @@ def _study(cfg: RunConfig, section: str, key: str, values) -> list:
             message = f"{', '.join(kept)}{sep}{rest}" if kept else rest
             where = cfg._where(section, key)
             raise ConfigurationError(f"{where}: {key} entry {token!r}: {message}") from None
-        variants.append((entry, sub))
+        variants.append((entry, sub, problem))
     return variants
 
 
@@ -148,11 +147,10 @@ def _write_csv(path, cfg: RunConfig, header, rows) -> None:
 
 
 def cmd_solve(cfg: RunConfig, out: Path, rng) -> int:
-    cfg.get("solver", "mode")  # a bad mode exits 2 before assembly
     event_log = cfg.get("output", "event_log")
-    f = cfg.build_source(cfg.build_grid(), rng)  # and so does a bad source
-    _, partition, operators, gop = _build_problem(cfg)
-    u, info, ddm_report, krylov_report = _solve_once(cfg, f, partition, operators, gop)
+    problem = _build_problem(cfg)
+    f = cfg.build_source(problem.grid, rng)  # a bad source exits 2 before assembly
+    u, info, ddm_report, krylov_report = _solve_once(cfg, problem, f)
     info["blas_threads"] = _blas_threads()
     if cfg.get("output", "field_dump"):
         dump_field(u, out / "field.f64le")
@@ -183,17 +181,16 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     cfg._require(len(center) == cfg.dim, "problem", "center", f"{cfg.dim} coordinates", center)
     variants = _study(cfg, "convergence", "meshes",
                       lambda cells: {"discretization.interior_cells": str(cells)})
-    meshes = [cells for cells, _ in variants]
+    meshes = [cells for cells, _, _ in variants]
     ok = len(set(meshes)) == len(meshes) >= 2
     cfg._require(ok, "convergence", "meshes", "2 or more distinct meshes", meshes)
     kappa = cfg.omega / cfg.get("problem", "speed")
     # build_source's Gaussian is that of omega, whatever the wavenumber kappa
     source = lambda rho: gaussian_profile(rho, cfg.omega, cfg.dim)
     table, prev = [], None
-    for cells, sub in variants:
-        f = sub.build_source(sub.build_grid(), rng)
-        grid, partition, operators, gop = _build_problem(sub)
-        u, _, _, _ = _solve_once(sub, f, partition, operators, gop)
+    for cells, sub, problem in variants:
+        grid, partition, _, _ = problem
+        u, _, _, _ = _solve_once(sub, problem, sub.build_source(grid, rng))
         ref = radial_solution(grid, center, kappa, profile=source)
         h = min(grid.spacing)
         l2 = field_error(u, ref, "L2", region=partition.interior)
@@ -211,11 +208,12 @@ def cmd_convergence(cfg: RunConfig, out: Path, rng) -> int:
     return 0
 
 
-def decay_history(cfg: RunConfig, f, n_it: int):
+def decay_history(cfg: RunConfig, problem: Problem, f, n_it: int):
     """Iterative-mode relative residual over `n_it` iterations of the source
-    `f` (on the config's grid) for the config's partition, in any mode."""
-    grid, partition, operators, gop = _build_problem(
-        cfg.with_values({"solver.mode": "direct-ddm"}))
+    `f` (on the problem's grid) for its partition; it sweeps in any mode."""
+    grid, partition, profile, model = problem
+    operators = build_operators(partition, profile, model, cfg.omega)
+    gop = build_global_operator(partition, profile, model, cfg.omega)
     cache = FactorizationCache()
     u = np.zeros(grid.counts, dtype=np.complex128)
     norm_f = np.linalg.norm(f)
@@ -245,11 +243,11 @@ def cmd_decay(cfg: RunConfig, out: Path, rng) -> int:
     report = {"config_sha256": cfg.sha256, "partitions": {}}
     if cfg.get("problem", "source") == "shots":
         report["shots"] = cfg.get("problem", "shots")
-    # one draw, so that every partition solves the same (seeded) source
-    f = cfg.build_source(cfg.build_grid(), rng)
-    for counts, sub in variants:
+    # one draw on the config's grid, so that every partition solves the same (seeded) source
+    f = cfg.build_source(variants[0][2].grid, rng)
+    for counts, sub, problem in variants:
         name = "x".join(map(str, counts))
-        history = decay_history(sub, f, n_it)
+        history = decay_history(sub, problem, f, n_it)
         _write_csv(out / f"decay_{name}.csv", cfg, ["iteration", "relative_residual"],
                    [(k, f"{res:.6e}") for k, res in enumerate(history)])
         try:
@@ -302,16 +300,15 @@ def cmd_precond_study(cfg: RunConfig, out: Path, rng) -> int:
         "solver.mode": "gmres-ddm",
     })
     results = []
-    for (cells, counts, freq), sub in variants:
+    for (cells, counts, freq), sub, problem in variants:
         name = "x".join(map(str, counts))
-        grid, partition, operators, gop = _build_problem(sub)
         interior = sub.interior_extents()
         shots = [
             tuple(a + t * (b - a) for (a, b), t in zip(interior, frac))
             for frac in itertools.product((0.25, 0.75), repeat=sub.dim)
         ]
-        f = point_shots(grid, shots, interior)
-        _, info, _, _ = _solve_once(sub, f, partition, operators, gop)
+        f = point_shots(problem.grid, shots, interior)
+        _, info, _, _ = _solve_once(sub, problem, f)
         results.append((cells, name, freq, info["n_iter"], info["converged"],
                         info["wall_time"]))
         print(f"cells {cells} partition {name} freq {freq}: "
@@ -420,6 +417,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out, rng)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -77,7 +77,7 @@ def gmres(
     report.times.append(time.perf_counter() - t0)
     while report.n_iter < max_iter and residual / norm_b > tol:
         r = b - mat(x)
-        m = min(restart, max_iter - report.n_iter)
+        m = min(restart, max_iter - report.n_iter, b.size)  # no Krylov space is larger
         V = np.zeros((m + 1, b.size), dtype=np.complex128)
         Z = np.zeros((m, b.size), dtype=np.complex128)
         R = np.zeros((m, m), dtype=np.complex128)

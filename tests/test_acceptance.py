@@ -95,9 +95,10 @@ def test_criterion_1_2d_convergence(capsys):
             "partition.counts": "5, 5",
             "solver.mode": "direct-ddm",
         })
-        grid, part, ops, gop = _build_problem(cfg)
+        problem = _build_problem(cfg)
+        grid, part, _, _ = problem
         f = cfg.build_source(grid)
-        u, _, _, _ = _solve_once(cfg, f, part, ops, gop)
+        u, _, _, _ = _solve_once(cfg, problem, f)
         ref = radial_solution(grid, center, cfg.omega)
         sl = part.interior.slices()
         diff = u.values[sl] - ref.values[sl]
@@ -263,6 +264,8 @@ def test_criterion_6_rule_engine_golden_tables(capsys):
 
 
 def test_criterion_7_three_layer_decay(capsys):
+    from diagsweep.cli import _build_problem
+
     cfg = load_config(environ={}, overrides={
         "problem.dim": "2",
         "problem.frequency": "8",
@@ -280,7 +283,7 @@ def test_criterion_7_three_layer_decay(capsys):
     rates = []
     for counts in ((3, 3), (1, 2)):
         variant = cfg.with_values({"partition.counts": ",".join(map(str, counts))})
-        history = decay_history(variant, f, n_it=26)
+        history = decay_history(variant, _build_problem(variant), f, n_it=26)
         rates.append(fit_decay_rate(history, skip=2, floor=1e-13))
     rel_diff = abs(rates[0] - rates[1]) / abs(rates[1])
     ok = rel_diff <= 0.10 and all(r < 0 for r in rates)

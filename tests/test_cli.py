@@ -667,6 +667,19 @@ def test_unusable_interior_or_damping_exits_2(small_ini, tmp_path, capsys, monke
     _exits_2_without_traceback(capsys, args, message.format(frequency=frequency))
 
 
+def test_out_of_memory_exits_2_in_one_line(small_ini, tmp_path, capsys, monkeypatch):
+    """A problem too large to assemble exits 2 with one stderr line."""
+    import diagsweep.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_global_operator", exhausted)
+    assert _run(["solve", "--config", small_ini, "--out", tmp_path / "out"]) == EXIT_CONFIG
+    _, err = capsys.readouterr()
+    assert err == "out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_raster_speed_that_overflows_kappa2_exits_2(small_ini, tmp_path, capsys, monkeypatch):
     """kappa^2 at the slowest raster speed overflowed in `pml._kappa2`."""
     samples = np.ones((3, 3), np.float32)
@@ -877,6 +890,33 @@ def test_precond_study(small_ini, tmp_path):
         cells, part, freq, n_iter, converged, wall = line.split(",")
         assert converged == "True"
         assert int(n_iter) <= 6
+
+
+@pytest.mark.parametrize("command, settings", (
+    ("decay", ("decay.partitions=2x2;1x2", "decay.iterations=4", "decay.fit_skip=0")),
+    ("precond-study", ("precond.rows=40,2x2,4; 40,1x2,4",)),
+), ids=("decay", "precond-study"))
+def test_study_loads_a_raster_once_per_entry(small_ini, tmp_path, monkeypatch, command,
+                                             settings):
+    """Each entry's problem is built once: checked before the first solve,
+    then solved as it was checked."""
+    import diagsweep.config as config
+
+    raster = tmp_path / "speed.raster"
+    samples = np.random.default_rng(1).uniform(1.0, 2.0, (9, 9)).astype(np.float32)
+    save_velocity(RasterModel(((0.0, 1.0),) * 2, samples), raster)
+    load_velocity, loads = config.load_velocity, []
+
+    def counting(path):
+        loads.append(path)
+        return load_velocity(path)
+
+    monkeypatch.setattr(config, "load_velocity", counting)
+    args = [command, "--config", small_ini, "--out", tmp_path / "out"]
+    for setting in ("problem.medium=raster", f"problem.raster_path={raster}", *settings):
+        args += ["--set", setting]
+    assert _run(args) == 0
+    assert len(loads) == 2  # one per entry
 
 
 def test_precond_study_3d(small_ini, tmp_path):

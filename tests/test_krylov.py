@@ -79,6 +79,16 @@ def test_singular_preconditioner_raises():
         gmres(lambda v: A @ v, lambda v: np.zeros_like(v), b, tol=1e-8)
 
 
+def test_cycle_no_longer_than_the_system():
+    """A restart above the number of unknowns allocates no larger basis: the
+    Krylov space of 4 unknowns has at most 4 vectors."""
+    A, b = _dense_system(n=4, seed=8)
+    x_ref, ref = gmres(lambda v: A @ v, lambda v: v, b, restart=4, max_iter=10**15)
+    x, report = gmres(lambda v: A @ v, lambda v: v, b, restart=10**15, max_iter=10**15)
+    assert report.converged
+    assert np.array_equal(x, x_ref) and report.residuals == ref.residuals
+
+
 def test_zero_rhs():
     x, report = gmres(lambda v: v, lambda v: v, np.zeros(8))
     assert report.converged and np.all(x == 0)
